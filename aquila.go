@@ -113,22 +113,6 @@ type Options struct {
 	// localization re-checks: 0 uses runtime.GOMAXPROCS(0), 1 forces the
 	// serial path. Reports are byte-identical at every setting.
 	Parallel int
-	// Incremental enables shared-prefix solving for find-all verification
-	// and localization: each worker shard blasts the common VC prefix once
-	// and checks its assertions via activation literals, reusing the CNF
-	// and learned clauses. Verdicts and reports stay byte-identical to the
-	// default fresh-solver mode.
-	Incremental bool
-	// Simplify runs the algebraic simplification pass over the shared
-	// term DAG before blasting. Verification and localization consult it
-	// only in Incremental mode; SelfValidate applies it directly to its
-	// refinement queries.
-	Simplify bool
-	// Preprocess enables SatELite-style CNF preprocessing (subsumption,
-	// self-subsuming resolution, bounded variable elimination) in the SAT
-	// cores of verification, localization filtering, and self-validation.
-	// Verdicts, models, and reports are unchanged; the search gets cheaper.
-	Preprocess bool
 	// Slice enables per-assertion cone-of-influence slicing for find-all
 	// verification: VC conjuncts that cannot influence an assertion's
 	// checked condition are dropped before blasting. Reports stay
@@ -142,12 +126,8 @@ type Options struct {
 	// Schedule selects the find-all work-distribution strategy:
 	// ScheduleStatic (default) or ScheduleSteal, the work-stealing
 	// scheduler. Canonical reports are byte-identical across schedules;
-	// steal mode is incompatible with Incremental and Stream.
+	// steal mode is incompatible with Stream.
 	Schedule Schedule
-	// Portfolio races K diverse solver personalities per find-all check and
-	// takes the first verdict (0 or 1: no racing). Reports stay
-	// byte-identical at every K; incompatible with Incremental and Stream.
-	Portfolio int
 	// Encode selects the encoding modes; the zero value is the paper's
 	// configuration (sequential encoding, ABV lookup tree, KV packets).
 	Encode EncodeOptions
@@ -155,9 +135,7 @@ type Options struct {
 
 func (o Options) verifyOptions() verify.Options {
 	return verify.Options{Encode: o.Encode, FindAll: o.FindAll, Budget: o.Budget,
-		Parallel: o.Parallel, Incremental: o.Incremental, Simplify: o.Simplify,
-		Preprocess: o.Preprocess, Slice: o.Slice, Stream: o.Stream,
-		Schedule: o.Schedule, Portfolio: o.Portfolio}
+		Parallel: o.Parallel, Slice: o.Slice, Stream: o.Stream, Schedule: o.Schedule}
 }
 
 // ParseProgram parses and type-checks P4lite source.
@@ -252,8 +230,7 @@ func Localize(prog *Program, snap *Snapshot, spec *Spec, opts Options) (*Localiz
 // SelfValidate checks Aquila's own encoder against an independent
 // reference semantics for the named components (§6 of the paper).
 func SelfValidate(prog *Program, snap *Snapshot, components []string, opts Options) (*ValidationResult, error) {
-	return validate.ValidateWith(prog, snap, components, opts.Encode,
-		validate.Config{Simplify: opts.Simplify, Preprocess: opts.Preprocess})
+	return validate.Validate(prog, snap, components, opts.Encode)
 }
 
 // SpecLoC counts the effective specification lines of LPI source — the

@@ -320,8 +320,8 @@ func BenchmarkObsOverhead(b *testing.B) {
 
 // BenchmarkVerifyDCGateway_Allocs is the allocation benchmark CI gates
 // on: an end-to-end find-all verification of the DC Gateway under the
-// shipping memory-lean configuration (serial, preprocessing, slicing,
-// streaming release). Run with -benchmem; the allocs/op column is the
+// shipping memory-lean configuration (serial, slicing, streaming
+// release). Run with -benchmem; the allocs/op column is the
 // number the term-arena / flat-clause-DB work exists to shrink, and the
 // scale campaign's CompareScale holds it within 20% of the checked-in
 // BENCH_scale.json anchor row.
@@ -339,7 +339,7 @@ func BenchmarkVerifyDCGateway_Allocs(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rep, err := verify.Run(prog, nil, spec, verify.Options{
-			FindAll: true, Parallel: 1, Preprocess: true, Slice: true, Stream: true})
+			FindAll: true, Parallel: 1, Slice: true, Stream: true})
 		if err != nil {
 			b.Fatal(err)
 		}

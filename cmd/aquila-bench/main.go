@@ -10,11 +10,7 @@
 //	aquila-bench -exp table4 [-scales small,medium,large]
 //	aquila-bench -exp fig11a [-k 5] [-scale medium]
 //	aquila-bench -exp fig11b [-entries 1000,2000,3000,4000,5000]
-//	aquila-bench -exp parallel [-parallel 1,2,4,8] [-portfolios 1,2] [-repeats 3]
-//	                           [-out BENCH_parallel.json]
-//	aquila-bench -exp incremental [-parallel 1,2,4] [-repeats 3] [-incr-out BENCH_incremental.json]
-//	aquila-bench -exp preproc [-parallel 1,2,4] [-repeats 3] [-preproc-out BENCH_preproc.json]
-//	                          [-compare BENCH_preproc.json]
+//	aquila-bench -exp parallel [-parallel 1,2,4,8] [-repeats 3] [-out BENCH_parallel.json]
 //	aquila-bench -exp churn [-churn-entries 64] [-churn-deltas 8]
 //	                        [-churn-out BENCH_churn.json] [-compare-churn BENCH_churn.json]
 //	aquila-bench -exp serve [-churn-entries 64] [-churn-deltas 8]
@@ -62,7 +58,7 @@ func main() { os.Exit(mainRun()) }
 
 func mainRun() int {
 	var (
-		exp        = flag.String("exp", "all", "experiment: table1|table2|table3|table4|fig11a|fig11b|parallel|incremental|preproc|churn|serve|obs|fuzz|scale|all")
+		exp        = flag.String("exp", "all", "experiment: table1|table2|table3|table4|fig11a|fig11b|parallel|churn|serve|obs|fuzz|scale|all")
 		quick      = flag.Bool("quick", false, "smaller budgets and workloads")
 		suite      = flag.String("suite", "full", "table3 suite: hand (5 programs) or full (12)")
 		scales     = flag.String("scales", "small,medium,large", "table4 switch-T scales")
@@ -70,12 +66,8 @@ func mainRun() int {
 		scale      = flag.String("scale", "medium", "fig11a/fig11b switch-T scale")
 		entries    = flag.String("entries", "1000,2000,3000,4000,5000", "fig11b entry counts")
 		parallel   = flag.String("parallel", "1,2,4,8", "parallel-sweep worker counts (first must be 1, the speedup baseline)")
-		portfolios = flag.String("portfolios", "1,2", "parallel-sweep portfolio sizes (first must be 1, the no-racing baseline)")
 		repeats    = flag.Int("repeats", 3, "parallel/obs runs per configuration (best wall time kept)")
 		outPath    = flag.String("out", "BENCH_parallel.json", "parallel-sweep JSON output file (empty: stdout table only)")
-		incrOut    = flag.String("incr-out", "BENCH_incremental.json", "incremental-sweep JSON output file (empty: stdout table only)")
-		prepOut    = flag.String("preproc-out", "BENCH_preproc.json", "preproc-sweep JSON output file (empty: stdout table only)")
-		compare    = flag.String("compare", "", "preproc only: reference BENCH_preproc.json; exit non-zero if relative wall time regresses >20%")
 		churnEnt   = flag.Int("churn-entries", 64, "churn: installed entries in the churned ECMP table")
 		churnN     = flag.Int("churn-deltas", 8, "churn: steady-state deltas measured (after 2 warmups)")
 		churnOut   = flag.String("churn-out", "BENCH_churn.json", "churn-experiment JSON output file (empty: stdout table only)")
@@ -216,7 +208,7 @@ func mainRun() int {
 	})
 
 	run("parallel", func() error {
-		// The {schedule, portfolio, workers} grid on the DC gateway (scale)
+		// The {schedule, workers} grid on the DC gateway (scale)
 		// and the skewed-telemetry program (load imbalance — the workload
 		// the steal schedule exists for).
 		var counts []int
@@ -227,21 +219,13 @@ func mainRun() int {
 			}
 			counts = append(counts, n)
 		}
-		var ks []int
-		for _, s := range strings.Split(*portfolios, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil {
-				return err
-			}
-			ks = append(ks, n)
-		}
 		reps := *repeats
 		if *quick {
 			reps = 1
 		}
 		res, err := bench.ParallelSuite(
 			[]*progs.Benchmark{progs.DCGatewayBench(), progs.SkewedBench()},
-			counts, ks, reps)
+			counts, reps)
 		if err != nil {
 			return err
 		}
@@ -255,92 +239,6 @@ func mainRun() int {
 				return err
 			}
 			fmt.Printf("wrote %s\n", *outPath)
-		}
-		return nil
-	})
-
-	run("incremental", func() error {
-		// Fresh vs shared-prefix incremental solving on the DC gateway.
-		// The worker counts reuse -parallel, capped at 4: the point of the
-		// sweep is clause reuse, not scheduler saturation.
-		var counts []int
-		for _, s := range strings.Split(*parallel, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil {
-				return err
-			}
-			if n <= 4 {
-				counts = append(counts, n)
-			}
-		}
-		reps := *repeats
-		if *quick {
-			reps = 1
-		}
-		res, err := bench.Incremental(progs.DCGatewayBench(), counts, reps)
-		if err != nil {
-			return err
-		}
-		fmt.Print(bench.FormatIncremental(res))
-		if *incrOut != "" {
-			data, err := res.JSON()
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(*incrOut, append(data, '\n'), 0o644); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", *incrOut)
-		}
-		return nil
-	})
-
-	run("preproc", func() error {
-		// The four {preprocess, slice} configurations on the DC gateway,
-		// fresh and incremental, against the baseline engine. Worker
-		// counts reuse -parallel, capped at 4, like the incremental sweep.
-		var counts []int
-		for _, s := range strings.Split(*parallel, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil {
-				return err
-			}
-			if n <= 4 {
-				counts = append(counts, n)
-			}
-		}
-		reps := *repeats
-		if *quick {
-			reps = 1
-		}
-		res, err := bench.Preproc(progs.DCGatewayBench(), counts, reps)
-		if err != nil {
-			return err
-		}
-		fmt.Print(bench.FormatPreproc(res))
-		if *compare != "" {
-			data, err := os.ReadFile(*compare)
-			if err != nil {
-				return err
-			}
-			var ref bench.PreprocResult
-			if err := json.Unmarshal(data, &ref); err != nil {
-				return fmt.Errorf("parsing %s: %w", *compare, err)
-			}
-			if err := bench.ComparePreproc(&ref, res); err != nil {
-				return err
-			}
-			fmt.Printf("no regression vs %s\n", *compare)
-		}
-		if *prepOut != "" {
-			data, err := res.JSON()
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(*prepOut, append(data, '\n'), 0o644); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", *prepOut)
 		}
 		return nil
 	})

@@ -6,21 +6,12 @@
 // Usage:
 //
 //	aquila-localize -spec spec.lpi [-p4 prog.p4] [-entries snap.txt]
-//	                [-budget N] [-parallel N] [-schedule static|steal]
-//	                [-portfolio K] [-incremental] [-simplify=false]
-//	                [-preprocess] [-slice]
+//	                [-budget N] [-parallel N] [-schedule static|steal] [-slice]
 //	                [-trace out.json] [-pprof cpu.out] [-memprofile mem.out] [-v]
 //
-// -incremental makes the find-violations pass and the causality filter
-// share one blasted solver per worker shard (activation literals over the
-// common prefix) instead of a fresh solver per query; -simplify (default
-// true) adds the algebraic pre-blast pass. -preprocess enables CNF
-// preprocessing in every verdict-only solver (the model-extracting MaxSAT
-// repair solver stays plain); -slice applies cone-of-influence slicing in
-// the find-violations pass. -schedule steal and -portfolio K route the
-// find-violations pass through the work-stealing scheduler / portfolio
-// racing (incompatible with -incremental — rejected with an error, not
-// silently resolved). Results are identical.
+// -slice applies cone-of-influence slicing in the find-violations pass;
+// -schedule steal routes that pass through the work-stealing scheduler.
+// Results are identical.
 //
 // -trace writes a Chrome trace-event JSON covering the localization
 // pipeline (find-violations, table-entry repair, causality filter, fix
@@ -48,10 +39,6 @@ func run() int {
 		budget     = flag.Int64("budget", 0, "SAT conflict budget per query (0: unlimited)")
 		parallel   = flag.Int("parallel", 0, fmt.Sprintf("worker goroutines for localization re-checks (0: GOMAXPROCS, currently %d; 1: serial)", runtime.GOMAXPROCS(0)))
 		schedule   = flag.String("schedule", "static", "find-violations work distribution: static|steal")
-		portfolio  = flag.Int("portfolio", 1, "solver personalities raced per find-violations check; first verdict wins")
-		incr       = flag.Bool("incremental", false, "shared-prefix incremental solving for verification and the causality filter")
-		simplify   = flag.Bool("simplify", true, "algebraic simplification pass before blasting (incremental mode only)")
-		preproc    = flag.Bool("preprocess", false, "SatELite-style CNF preprocessing in verdict-only solvers")
 		slice      = flag.Bool("slice", false, "per-assertion cone-of-influence slicing in the find-violations pass")
 		tracePath  = flag.String("trace", "", "write Chrome trace-event JSON of the localization phases")
 		cpuProf    = flag.String("pprof", "", "write CPU profile (go tool pprof)")
@@ -71,9 +58,7 @@ func run() int {
 	}
 	opts := aquila.Options{
 		Budget: *budget, Parallel: *parallel,
-		Incremental: *incr, Simplify: *simplify,
-		Preprocess: *preproc, Slice: *slice,
-		Schedule: sched, Portfolio: *portfolio,
+		Slice: *slice, Schedule: sched,
 	}
 
 	o, closeObs, err := obs.Setup(obs.Config{

@@ -7,12 +7,8 @@
 // Usage:
 //
 //	aquila-validate -p4 prog.p4 [-entries snap.txt] [-components a,b,...]
-//	                [-bug empty-state-accept|ignore-defaultonly] [-simplify] [-preprocess]
+//	                [-bug empty-state-accept|ignore-defaultonly]
 //	                [-trace out.json] [-pprof cpu.out] [-memprofile mem.out] [-v]
-//
-// -simplify routes every refinement query through the algebraic
-// simplification pass before solving, so a simplifier bug that changes a
-// verdict shows up as a refinement mismatch here.
 package main
 
 import (
@@ -35,8 +31,6 @@ func run() int {
 		entries    = flag.String("entries", "", "table-entry snapshot file")
 		components = flag.String("components", "", "comma-separated components (default: every pipeline)")
 		bug        = flag.String("bug", "", "inject a historical encoder bug (empty-state-accept, ignore-defaultonly)")
-		simplify   = flag.Bool("simplify", false, "pass refinement queries through the algebraic simplification pass")
-		preproc    = flag.Bool("preprocess", false, "SatELite-style CNF preprocessing in the refinement solver")
 		tracePath  = flag.String("trace", "", "write Chrome trace-event JSON of the validation phases")
 		cpuProf    = flag.String("pprof", "", "write CPU profile (go tool pprof)")
 		memProf    = flag.String("memprofile", "", "write heap profile on exit")
@@ -59,14 +53,14 @@ func run() int {
 		return fail(err)
 	}
 	obs.SetDefault(o)
-	code := validateMain(*p4Path, *entries, *components, *bug, *simplify, *preproc)
+	code := validateMain(*p4Path, *entries, *components, *bug)
 	if err := closeObs(); err != nil {
 		return fail(err)
 	}
 	return code
 }
 
-func validateMain(p4Path, entries, components, bug string, simplify, preprocess bool) int {
+func validateMain(p4Path, entries, components, bug string) int {
 	prog, err := aquila.LoadProgram(p4Path)
 	if err != nil {
 		return fail(err)
@@ -91,9 +85,7 @@ func validateMain(p4Path, entries, components, bug string, simplify, preprocess 
 		return fail(fmt.Errorf("no components to validate: declare a pipeline or pass -components"))
 	}
 	result, err := aquila.SelfValidate(prog, snap, comps, aquila.Options{
-		Encode:     encode.Options{InjectEncoderBug: bug},
-		Simplify:   simplify,
-		Preprocess: preprocess,
+		Encode: encode.Options{InjectEncoderBug: bug},
 	})
 	if err != nil {
 		return fail(err)

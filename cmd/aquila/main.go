@@ -7,8 +7,7 @@
 //	aquila -spec spec.lpi [-p4 prog.p4] [-entries snap.txt] [-all]
 //	       [-parser sequential|tree] [-table abvtree|abvlinear|naive]
 //	       [-packet kv|bitvector] [-budget N] [-parallel N]
-//	       [-schedule static|steal] [-portfolio K]
-//	       [-incremental] [-simplify=false] [-preprocess] [-slice]
+//	       [-schedule static|steal] [-slice] [-stream]
 //	       [-trace out.json] [-pprof cpu.out] [-memprofile mem.out] [-v]
 //	       [-progress] [-metrics out.om] [-watchdog 30s]
 //	       [-churn deltas.txt]
@@ -20,19 +19,13 @@
 // report is byte-identical to a fresh verification of the mutated
 // snapshot.
 //
-// -incremental switches find-all solving to the shared-prefix engine
-// (blast the common VC prefix once per worker shard, check each assertion
-// under an activation literal); it implies -all. -simplify (default true)
-// controls the algebraic pre-blast simplification pass in that mode.
-// -preprocess enables SatELite-style CNF preprocessing in the SAT core;
 // -slice drops VC conjuncts outside each assertion's cone of influence
 // before blasting (find-all modes). -schedule steal routes find-all
-// checks through the work-stealing scheduler (implies -all); -portfolio K
-// races K diverse solver personalities per check and takes the first
-// verdict (implies -all). Reports are byte-identical to the default
-// fresh-solver mode under every combination of these flags; incompatible
-// combinations (e.g. -stream with -parallel, -schedule steal with
-// -incremental) are rejected up front with an error naming the conflict.
+// checks through the work-stealing scheduler, whose per-worker warm
+// solvers blast the shared VC prefix once (implies -all). Reports are
+// byte-identical to the default fresh-solver mode under every combination
+// of these flags; incompatible combinations (e.g. -stream with -parallel)
+// are rejected up front with an error naming the conflict.
 //
 // The P4 program may also be named by the spec's config section
 // (`config { path = prog.p4; }`), or selected from the built-in corpus
@@ -74,13 +67,9 @@ func run() int {
 		packetStr  = flag.String("packet", "kv", "packet encoding: kv|bitvector")
 		budget     = flag.Int64("budget", 0, "SAT conflict budget per query (0: unlimited)")
 		parallel   = flag.Int("parallel", 0, fmt.Sprintf("worker goroutines for -all checks (0: GOMAXPROCS, currently %d; 1: serial)", runtime.GOMAXPROCS(0)))
-		incr       = flag.Bool("incremental", false, "shared-prefix incremental solving for -all (implies -all)")
-		simplify   = flag.Bool("simplify", true, "algebraic simplification pass before blasting (incremental mode only)")
-		preproc    = flag.Bool("preprocess", false, "SatELite-style CNF preprocessing in the SAT core")
 		slice      = flag.Bool("slice", false, "per-assertion cone-of-influence slicing of the VC (find-all modes)")
 		stream     = flag.Bool("stream", false, "streaming VC generation for -all: release per-assertion transient terms, bounding peak memory (implies -all, forces serial)")
 		schedule   = flag.String("schedule", "static", "find-all work distribution: static|steal (steal implies -all)")
-		portfolio  = flag.Int("portfolio", 1, "solver personalities raced per find-all check; first verdict wins (>1 implies -all)")
 		blocklist  = flag.Bool("blocklist", false, "with no -entries: print the table behaviours that trigger each violation (§2 blocklist)")
 		jsonOut    = flag.Bool("json", false, "emit a machine-readable JSON report")
 		canonical  = flag.Bool("canonical", false, "with -json: emit the canonical report (cost counters zeroed) — byte-identical across engines, for differential checks")
@@ -103,17 +92,13 @@ func run() int {
 		return fail(err)
 	}
 	opts := aquila.Options{
-		FindAll:     *findAll || *incr || *stream || sched == aquila.ScheduleSteal || *portfolio > 1,
-		Budget:      *budget,
-		Parallel:    *parallel,
-		Incremental: *incr,
-		Simplify:    *simplify,
-		Preprocess:  *preproc,
-		Slice:       *slice,
-		Stream:      *stream,
-		Schedule:    sched,
-		Portfolio:   *portfolio,
-		Encode:      encodeOptions(*parserStr, *tableStr, *packetStr),
+		FindAll:  *findAll || *stream || sched == aquila.ScheduleSteal,
+		Budget:   *budget,
+		Parallel: *parallel,
+		Slice:    *slice,
+		Stream:   *stream,
+		Schedule: sched,
+		Encode:   encodeOptions(*parserStr, *tableStr, *packetStr),
 	}
 
 	o, closeObs, err := obs.Setup(obs.Config{
@@ -177,8 +162,8 @@ func churnMain(p4Path, specPath, builtin, entries, churnPath string, opts aquila
 			report.Stats.DeltaRecheck, report.Stats.Assertions)
 	}
 	st := sess.SessionStats()
-	fmt.Printf("session: %d deltas, %d verdicts replayed, %d re-checked, %d stale indicators retired\n",
-		st.Deltas, st.ReuseHits, st.Rechecks, st.Retired)
+	fmt.Printf("session: %d deltas, %d verdicts replayed, %d re-checked\n",
+		st.Deltas, st.ReuseHits, st.Rechecks)
 	if !report.Holds {
 		return 1
 	}

@@ -23,8 +23,7 @@ import (
 // live heap (the RSS proxy Go can observe portably), and heap allocation
 // count. The numbers flow through the obs registry into BENCH_scale.json,
 // and CompareScale turns the checked-in file into a relative regression
-// gate, the same contract ComparePreproc established for the
-// preprocessing sweep.
+// gate.
 
 // ScaleRow is one campaign point.
 type ScaleRow struct {
@@ -80,10 +79,12 @@ type ScaleBaseline struct {
 }
 
 // PreArenaBaseline was measured on the seed engine (commit 9c64427) with
-// this same campaign harness — same points, same options (find-all,
-// preprocess + slice, serial; the seed has no streaming), same 5 ms
-// MemStats sampler — before the memory-layout refactor. See
-// EXPERIMENTS.md ("Scale campaign") for methodology.
+// this same campaign harness — same points, same 5 ms MemStats sampler —
+// before the memory-layout refactor, under the options the campaign used
+// then (find-all, serial, slicing, and CNF preprocessing, which no longer
+// exists; the seed has no streaming). The reported reductions therefore
+// include the preprocessor's share. See EXPERIMENTS.md ("Scale
+// campaign") for methodology.
 var PreArenaBaseline = ScaleBaseline{
 	DCGatewayAllocs:      792_078,
 	LargestPoint:         "struct_x20/seq/abv",
@@ -257,16 +258,15 @@ func scalePoints(quick bool) ([]scalePoint, error) {
 
 // scaleOpts is the shipping memory-lean engine configuration every
 // campaign point runs under: streaming find-all (serial, per-assertion
-// arena release) with CNF preprocessing and COI slicing.
+// arena release) with COI slicing.
 func scaleOpts(eopts encode.Options) verify.Options {
 	return verify.Options{
-		Encode:     eopts,
-		FindAll:    true,
-		Budget:     scaleBudget,
-		Preprocess: true,
-		Slice:      true,
-		Stream:     true,
-		Parallel:   1,
+		Encode:   eopts,
+		FindAll:  true,
+		Budget:   scaleBudget,
+		Slice:    true,
+		Stream:   true,
+		Parallel: 1,
 	}
 }
 

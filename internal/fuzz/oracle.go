@@ -51,21 +51,18 @@ type engineConfig struct {
 	opts verify.Options
 }
 
-// engineMatrix spans {fresh, parallel, incremental} × {plain, preprocess,
-// slice}: every solving strategy the driver exposes must produce the same
-// verdict and byte-identical canonical report. Cells that would be
-// redundant (preprocess+slice together re-tests both pure cells' code
-// paths) are collapsed into one combined cell to keep per-input cost
-// bounded.
+// engineMatrix spans {fresh, parallel, steal} × {plain, slice}: every
+// solving strategy the driver exposes must produce the same verdict and
+// byte-identical canonical report. The steal+slice cell keeps the
+// shared-solver path (checkOneShared, which also serves sessions) under
+// the oracle; its plain cell is left out to keep per-input cost bounded.
 func engineMatrix() []engineConfig {
 	return []engineConfig{
 		{"fresh", verify.Options{FindAll: true, Parallel: 1}},
-		{"fresh+preprocess", verify.Options{FindAll: true, Parallel: 1, Preprocess: true}},
 		{"fresh+slice", verify.Options{FindAll: true, Parallel: 1, Slice: true}},
 		{"parallel", verify.Options{FindAll: true, Parallel: 4}},
 		{"parallel+slice", verify.Options{FindAll: true, Parallel: 4, Slice: true}},
-		{"incremental", verify.Options{FindAll: true, Parallel: 1, Incremental: true}},
-		{"incremental+preprocess+slice", verify.Options{FindAll: true, Parallel: 1, Incremental: true, Preprocess: true, Slice: true}},
+		{"steal+slice", verify.Options{FindAll: true, Parallel: 2, Schedule: verify.ScheduleSteal, Slice: true}},
 	}
 }
 

@@ -392,10 +392,7 @@ func locateProgramBug(prog *p4.Program, snap *tables.Snapshot, spec *lpi.Spec,
 	// (2) Causality filter: keep actions whose execution the violation
 	// implies (checked on the base encoding's $fired ghosts). The query
 	// terms are built serially on the shared context; the checks fan out
-	// across the verify worker pool. In incremental mode each shard blasts
-	// the shared prefix (frozen input ∧ violation) once and answers every
-	// owned query under an activation literal, reusing the prefix CNF and
-	// learned clauses; otherwise each query gets its own fresh solver.
+	// across the verify worker pool, each query on its own fresh solver.
 	ctx := baseRep.Ctx
 	frozenCond := frozenTerm(ctx, frozen)
 	viol := ctx.False()
@@ -404,16 +401,11 @@ func locateProgramBug(prog *p4.Program, snap *tables.Snapshot, spec *lpi.Spec,
 	}
 	keys := sortedActionKeys(suspects)
 	prefix := ctx.And(frozenCond, viol)
-	if vopts.Incremental && vopts.Simplify {
-		prefix = smt.NewSimplifier(ctx).Simplify(prefix)
-	}
-	notFired := make([]*smt.Term, len(keys))
 	queries := make([]*smt.Term, len(keys))
 	for i, key := range keys {
 		fired := baseRep.Env.FiredVar(key.ctl, key.act)
 		// v implies fired  ⇔  unsat(v ∧ ¬fired).
-		notFired[i] = ctx.Not(fired)
-		queries[i] = ctx.And(prefix, notFired[i])
+		queries[i] = ctx.And(prefix, ctx.Not(fired))
 	}
 	workers := vopts.Workers()
 	if workers > 1 {
@@ -422,41 +414,15 @@ func locateProgramBug(prog *p4.Program, snap *tables.Snapshot, spec *lpi.Spec,
 	o := vopts.Observer()
 	implied := make([]bool, len(keys))
 	endFilter := o.Phase(0, "localize:filter")
-	if vopts.Incremental {
-		shards := verify.StaticShards(workers, len(keys))
-		verify.ForEachWorker(len(shards), len(shards), func(worker, s int) {
-			shardSolver := smt.NewSolver(ctx)
-			if vopts.Budget > 0 {
-				shardSolver.SetBudget(vopts.Budget)
-			}
-			// Verdict-only queries: CNF preprocessing is safe here (the
-			// model-extracting MaxSAT solver stays plain so suggested
-			// repairs are unchanged).
-			if vopts.Preprocess {
-				shardSolver.SetPreprocess(true)
-			}
-			shardSolver.Assert(prefix)
-			for _, i := range shards[s] {
-				endSpan := o.Span(worker, "filter:"+keys[i].ctl+"."+keys[i].act)
-				lit := shardSolver.Indicator(notFired[i])
-				implied[i] = shardSolver.CheckLits(lit) == smt.Unsat
-				endSpan()
-			}
-		})
-	} else {
-		verify.ForEachWorker(workers, len(keys), func(worker, i int) {
-			endSpan := o.Span(worker, "filter:"+keys[i].ctl+"."+keys[i].act)
-			filterSolver := smt.NewSolver(ctx)
-			if vopts.Budget > 0 {
-				filterSolver.SetBudget(vopts.Budget)
-			}
-			if vopts.Preprocess {
-				filterSolver.SetPreprocess(true)
-			}
-			implied[i] = filterSolver.Check(queries[i]) == smt.Unsat
-			endSpan()
-		})
-	}
+	verify.ForEachWorker(workers, len(keys), func(worker, i int) {
+		endSpan := o.Span(worker, "filter:"+keys[i].ctl+"."+keys[i].act)
+		filterSolver := smt.NewSolver(ctx)
+		if vopts.Budget > 0 {
+			filterSolver.SetBudget(vopts.Budget)
+		}
+		implied[i] = filterSolver.Check(queries[i]) == smt.Unsat
+		endSpan()
+	})
 	endFilter()
 	var filtered []actionKey
 	for i, key := range keys {
@@ -559,26 +525,9 @@ func fixWorks(prog *p4.Program, snap *tables.Snapshot, spec *lpi.Spec,
 	if vopts.Budget > 0 {
 		solver.SetBudget(vopts.Budget)
 	}
-	// A fix simulation only needs the sat/unsat verdict, so preprocessing
-	// is safe.
-	if vopts.Preprocess {
-		solver.SetPreprocess(true)
-	}
-	// The simulation asserts one big conjunction; in incremental mode the
-	// same simplification pass the verifier applies to its shared prefix is
-	// applied here before blasting.
-	conds := []*smt.Term{frozenTerm(ctx, frozen)}
+	solver.Assert(frozenTerm(ctx, frozen))
 	for _, v := range encRes.Violations {
-		conds = append(conds, ctx.Not(v.Cond))
-	}
-	if vopts.Incremental && vopts.Simplify {
-		simp := smt.NewSimplifier(ctx)
-		for i, cond := range conds {
-			conds[i] = simp.Simplify(cond)
-		}
-	}
-	for _, cond := range conds {
-		solver.Assert(cond)
+		solver.Assert(ctx.Not(v.Cond))
 	}
 	return solver.Check() == smt.Sat, nil
 }

@@ -8,9 +8,9 @@ import (
 )
 
 // Coverage export: the fuzzing engine steers mutation energy by the
-// *shape* of a run, not its exact cost — two runs that fired the same
-// rewrite rules and preprocessing paths a comparable number of times are
-// the same coverage point even if raw counts differ by scheduling noise.
+// *shape* of a run, not its exact cost — two runs that exercised the same
+// encoder and solver paths a comparable number of times are the same
+// coverage point even if raw counts differ by scheduling noise.
 // BucketLog2 coarsens counters into log2 buckets and Signature renders a
 // whole registry snapshot as one canonical, comparable string.
 

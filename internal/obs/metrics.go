@@ -19,20 +19,14 @@ const (
 	CtrSATLearntLits    = "sat.learnt_literals"
 	CtrSATLearntDeleted = "sat.learnt_deleted"
 
-	// SAT preprocessing (SatELite-style CNF simplification).
-	CtrSATElimVars     = "sat.elim_vars"
-	CtrSATSubsumed     = "sat.subsumed_clauses"
-	CtrSATStrengthened = "sat.strengthened_clauses"
-
 	// SMT layer (bit-blasting and term interning).
-	CtrSMTTseitinClauses   = "smt.tseitin_clauses"
-	CtrSMTBlastHits        = "smt.blast_cache_hits"
-	CtrSMTBlastMisses      = "smt.blast_cache_misses"
-	CtrSMTInternHits       = "smt.intern_hits"
-	CtrSMTInternMisses     = "smt.intern_misses"
-	CtrSMTFrozenLocks      = "smt.frozen_ctx_locks"
-	CtrSMTSimplifyRewrites = "smt.simplify_rewrites"
-	CtrSMTTermsReleased    = "smt.terms_released"
+	CtrSMTTseitinClauses = "smt.tseitin_clauses"
+	CtrSMTBlastHits      = "smt.blast_cache_hits"
+	CtrSMTBlastMisses    = "smt.blast_cache_misses"
+	CtrSMTInternHits     = "smt.intern_hits"
+	CtrSMTInternMisses   = "smt.intern_misses"
+	CtrSMTFrozenLocks    = "smt.frozen_ctx_locks"
+	CtrSMTTermsReleased  = "smt.terms_released"
 
 	// GCL structure: one counter per statement kind reachable in the
 	// compiled verification program, named CtrGCLStmtPrefix + kind. The
@@ -46,22 +40,15 @@ const (
 	CtrVerifyUnsat        = "verify.checks_unsat"
 	CtrVerifyUnknown      = "verify.checks_unknown"
 	CtrVerifySliceDropped = "verify.slice_conjuncts_dropped"
-	// Work-stealing scheduler and portfolio racing (find-all engines).
-	// Steals counts checks executed by a worker other than their static
-	// owner; races won/lost count racer verdicts per raced check (one win,
-	// K-1 losses); cancelled CPU totals the microseconds losers burned.
+	// Work-stealing scheduler (find-all engine): steals counts checks
+	// executed by a worker other than their static owner.
 	// Session (delta re-verification) engine: verdicts replayed from the
 	// session cache vs assertions re-solved after a table delta.
 	CtrVerifyDeltaReuse   = "verify.delta_reuse_hits"
 	CtrVerifyDeltaRecheck = "verify.delta_recheck"
 	CtrVerifySteals       = "verify.steals"
-	CtrVerifyRacesWon     = "verify.races_won"
-	CtrVerifyRacesLost    = "verify.races_lost"
-	CtrVerifyCancelledUS  = "verify.race_cancelled_us"
 	GaugeTermNodes        = "smt.term_nodes"
 	GaugeVerifyWorkers    = "verify.workers"
-	GaugeVerifyShards     = "verify.incremental_shards"
-	GaugeVerifyPortfolio  = "verify.portfolio"
 
 	// Continuous verification daemon (internal/serve): applied deltas,
 	// requests rejected before reaching a session (parse/validation/size

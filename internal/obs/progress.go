@@ -14,8 +14,8 @@ import (
 type ProgressSample struct {
 	// Seq is the sample's global publish index (0-based).
 	Seq int64
-	// Label names the check (assertion label, or a shard label in
-	// incremental mode). Worker is the publishing worker's trace tid.
+	// Label names the check (assertion label, or "all-assertions" in
+	// find-first mode). Worker is the publishing worker's trace tid.
 	Label  string
 	Worker int
 	// WhenUS is microseconds since the ring was created.

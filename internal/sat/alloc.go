@@ -41,7 +41,7 @@ const (
 
 type clauseAlloc struct {
 	data   []Lit
-	wasted int // words occupied by deleted clauses and shrink slack
+	wasted int // words occupied by deleted clauses
 }
 
 // alloc appends a clause and returns its reference. lits is copied; the
@@ -101,14 +101,6 @@ func (ca *clauseAlloc) litOff(r cref) cref {
 func (ca *clauseAlloc) lits(r cref) []Lit {
 	o := ca.litOff(r)
 	return ca.data[o : o+cref(ca.size(r))]
-}
-
-// shrink reduces the clause to its first n literals (preprocessing writes
-// the survivors into the view prefix first).
-func (ca *clauseAlloc) shrink(r cref, n int) {
-	old := ca.size(r)
-	ca.data[r] = Lit(n<<headerShift) | ca.data[r]&flagMask
-	ca.wasted += old - n
 }
 
 func (ca *clauseAlloc) lbd(r cref) int       { return int(ca.data[r+1]) }

@@ -7,10 +7,10 @@
 //
 // Clauses live in a flat arena (alloc.go) addressed by 32-bit crefs rather
 // than as individually heap-allocated objects; a compacting garbage
-// collection pass reclaims deleted-clause space after database reduction
-// and preprocessing. Hot-path scratch buffers (clause dedup, conflict
-// analysis, LBD stamps, activity medians, watcher slabs) persist on the
-// Solver so steady-state solving allocates almost nothing.
+// collection pass reclaims deleted-clause space after database reduction.
+// Hot-path scratch buffers (clause dedup, conflict analysis, LBD stamps,
+// activity medians, watcher slabs) persist on the Solver so steady-state
+// solving allocates almost nothing.
 //
 // It is the bottom layer of Aquila's verification stack; the bit-vector
 // theory in package smt lowers verification conditions to CNF and solves
@@ -150,16 +150,13 @@ type Solver struct {
 	// Stats. Plain fields, not atomics: a solver instance is
 	// single-goroutine; parallel verification gives every check a fresh
 	// solver and folds these into the observability registry afterwards.
-	Conflicts           int64
-	Decisions           int64
-	Propagations        int64
-	Learnt              int64 // learnt clauses retained in the database
-	LearntLits          int64 // total literals across learnt clauses (incl. units)
-	Restarts            int64 // Luby restarts taken (completed search() rounds)
-	Deleted             int64 // learnt clauses evicted by database reduction
-	ElimVars            int64 // variables removed by bounded variable elimination
-	SubsumedClauses     int64 // clauses deleted by subsumption
-	StrengthenedClauses int64 // clauses shrunk by self-subsuming resolution
+	Conflicts    int64
+	Decisions    int64
+	Propagations int64
+	Learnt       int64 // learnt clauses retained in the database
+	LearntLits   int64 // total literals across learnt clauses (incl. units)
+	Restarts     int64 // Luby restarts taken (completed search() rounds)
+	Deleted      int64 // learnt clauses evicted by database reduction
 	// LearntSizes is the learnt-clause length distribution in log2
 	// buckets (bucket i covers lengths [2^(i-1), 2^i), clamped at the
 	// last bucket). Plain counters like the rest: the driver folds them
@@ -180,50 +177,24 @@ type Solver struct {
 	progressEvery int64
 	progressNext  int64
 
-	// Personality knobs (personality.go): search-heuristic variations a
-	// portfolio racer configures per instance. The zero values reproduce
-	// the baseline solver exactly; New sets the nonzero defaults.
-	randState   uint64  // xorshift64 state for random decisions, 0 disables
-	randFreq    uint32  // random-decision probability in 2^-32 units
-	phaseTrue   bool    // fresh variables default to phase true
-	varDecayInv float64 // VSIDS activity decay factor (default 0.95)
-	geomRestart bool    // geometric restart schedule instead of Luby
-	restartBase int     // first restart interval in conflicts (default 100)
-	restartGrow float64 // geometric interval growth factor (default 1.5)
-
-	// Cooperative cancellation (personality.go): cancel is a token shared
-	// by the members of a portfolio race; search polls it once per loop
-	// iteration, alongside the conflict-budget check. canceled records
-	// whether the last Solve's Unknown came from the token rather than the
-	// budget.
+	// Cooperative cancellation (SetCancel): search polls the shared token
+	// once per loop iteration, alongside the conflict-budget check.
+	// canceled records whether the last Solve's Unknown came from the
+	// token rather than the budget.
 	cancel   *atomic.Bool
 	canceled bool
-
-	// Preprocessing state (preprocess.go). frozen vars are exempt from
-	// elimination; elimed vars are currently substituted away and carry an
-	// elimStack record for model reconstruction and on-demand restore.
-	prep      bool
-	dirty     int    // clauses added since the last Preprocess round
-	frozen    []bool // indexed by var
-	elimed    []bool // indexed by var
-	elimStack []elimRecord
-	elimIndex map[int]int   // var -> elimStack index while eliminated
-	prepState *preprocessor // pooled across Preprocess rounds
 }
 
 // New returns an empty solver.
 func New() *Solver {
 	return &Solver{
-		varInc:      1.0,
-		clauseInc:   1.0,
-		ok:          true,
-		budget:      -1,
-		budgetLim:   -1,
-		maxLearnts:  4000,
-		learntCap:   defaultLearntCap,
-		varDecayInv: 0.95,
-		restartBase: 100,
-		restartGrow: 1.5,
+		varInc:     1.0,
+		clauseInc:  1.0,
+		ok:         true,
+		budget:     -1,
+		budgetLim:  -1,
+		maxLearnts: 4000,
+		learntCap:  defaultLearntCap,
 	}
 }
 
@@ -243,6 +214,18 @@ func (s *Solver) SetLearntCap(n int) {
 	}
 }
 
+// SetCancel installs a shared cancellation token: once c becomes true, any
+// in-flight or future Solve returns Unknown at its next search-loop check
+// — the same cooperative mechanism the conflict budget uses. A nil token
+// removes cancellation. The solver stays consistent after a cancelled
+// Solve (the deferred backtrack to level 0 still runs), so a long-lived
+// incremental solver answers later queries normally once the token clears.
+func (s *Solver) SetCancel(c *atomic.Bool) { s.cancel = c }
+
+// Canceled reports whether the last Solve returned Unknown because the
+// cancellation token fired, as opposed to exhausting its conflict budget.
+func (s *Solver) Canceled() bool { return s.canceled }
+
 // NumVars returns the number of variables allocated so far.
 func (s *Solver) NumVars() int { return len(s.assigns) }
 
@@ -254,12 +237,10 @@ func (s *Solver) NewVar() int {
 	v := len(s.assigns)
 	s.assigns = append(s.assigns, lUndef)
 	s.vardata = append(s.vardata, varData{reason: crefUndef})
-	s.polarity = append(s.polarity, !s.phaseTrue) // default phase false (polarity=negated) unless the personality flips it
+	s.polarity = append(s.polarity, true) // default phase false (polarity=negated)
 	s.activity = append(s.activity, 0)
 	s.watches = append(s.watches, nil, nil)
 	s.seen = append(s.seen, 0)
-	s.frozen = append(s.frozen, false)
-	s.elimed = append(s.elimed, false)
 	s.order.push(s, v)
 	s.numVarsFree++
 	return v
@@ -301,23 +282,8 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	if s.decisionLevel() != 0 {
 		panic("sat: AddClause above decision level 0")
 	}
-	// A clause mentioning an eliminated variable forces its restoration:
-	// the stored original clauses come back so the variable's semantics
-	// are intact before the new constraint lands.
-	if len(s.elimStack) > 0 {
-		for _, l := range lits {
-			if v := l.Var(); v < len(s.elimed) && s.elimed[v] {
-				s.restoreVar(v)
-				if !s.ok {
-					return false
-				}
-			}
-		}
-	}
-	s.dirty++
-	// Sort & dedupe; detect tautologies and satisfied/false literals.
-	// restoreVar above never re-enters past this point, so one scratch
-	// buffer per solver suffices.
+	// Dedupe; detect tautologies and satisfied/false literals. AddClause
+	// never re-enters, so one scratch buffer per solver suffices.
 	out := s.addBuf[:0]
 	for _, l := range lits {
 		if int(l.Var()) >= s.NumVars() {
@@ -500,7 +466,10 @@ func (s *Solver) varBump(v int) {
 	s.order.decrease(s, v)
 }
 
-func (s *Solver) varDecay() { s.varInc /= s.varDecayInv }
+func (s *Solver) varDecay() { s.varInc /= varDecayFactor }
+
+// varDecayFactor is the VSIDS activity decay.
+const varDecayFactor = 0.95
 
 func (s *Solver) clauseBump(r cref) {
 	a := s.ca.act(r) + s.clauseInc
@@ -731,14 +700,7 @@ func (s *Solver) garbageCollect() {
 		if r == crefUndef {
 			continue
 		}
-		// Level-0 implications can outlive their reason clause (the
-		// preprocessor deletes satisfied clauses); the reason is never
-		// consulted again, so drop the dangling reference.
-		if s.ca.deleted(r) {
-			s.vardata[v].reason = crefUndef
-		} else {
-			s.vardata[v].reason = s.ca.reloc(r, &to)
-		}
+		s.vardata[v].reason = s.ca.reloc(r, &to)
 	}
 	for i, r := range s.clauses {
 		s.clauses[i] = s.ca.reloc(r, &to)
@@ -801,20 +763,9 @@ func luby(x int) float64 {
 	return math.Pow(2, float64(seq))
 }
 
-// restartInterval returns the conflict allowance of restart round i under
-// the configured schedule: Luby times base (the baseline, luby(i)*100) or
-// a geometric series, clamped so long geometric runs cannot overflow.
-func (s *Solver) restartInterval(i int) int {
-	base := float64(s.restartBase)
-	if !s.geomRestart {
-		return int(luby(i) * base)
-	}
-	v := base * math.Pow(s.restartGrow, float64(i))
-	if v > 1e9 {
-		v = 1e9
-	}
-	return int(v)
-}
+// restartBase is the Luby restart unit: round i allows luby(i)*100
+// conflicts.
+const restartBase = 100
 
 // search runs CDCL until a restart, a verdict, or budget exhaustion.
 func (s *Solver) search(maxConflicts int) Status {
@@ -901,33 +852,9 @@ func (s *Solver) search(maxConflicts int) Status {
 }
 
 func (s *Solver) pickBranchVar() int {
-	if s.randState != 0 && s.randFreq != 0 && uint32(s.nextRand()) < s.randFreq {
-		if v := s.pickRandomVar(); v != -1 {
-			return v
-		}
-	}
 	for !s.order.empty() {
 		v := s.order.pop(s)
-		if s.assigns[v] == lUndef && !s.elimed[v] {
-			return v
-		}
-	}
-	return -1
-}
-
-// pickRandomVar probes a bounded number of uniformly random variables for
-// an unassigned, uneliminated one; -1 when every probe misses, in which
-// case the caller falls back to the activity order. The chosen variable
-// may still sit in the order heap — pop skips assigned variables, so a
-// later pop simply passes over it or reuses it once unassigned again.
-func (s *Solver) pickRandomVar() int {
-	n := s.NumVars()
-	if n == 0 {
-		return -1
-	}
-	for probes := 0; probes < 8; probes++ {
-		v := int(s.nextRand() % uint64(n))
-		if s.assigns[v] == lUndef && !s.elimed[v] {
+		if s.assigns[v] == lUndef {
 			return v
 		}
 	}
@@ -939,23 +866,6 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 	if !s.ok {
 		s.conflictSet = s.conflictSet[:0]
 		return Unsat
-	}
-	// Assumption variables must survive elimination: their truth is decided
-	// per call, so baking them into resolvents would change later queries.
-	// Freezing also restores any already-eliminated assumption variable.
-	for _, a := range assumptions {
-		s.FreezeVar(a.Var())
-	}
-	if !s.ok {
-		s.conflictSet = s.conflictSet[:0]
-		return Unsat
-	}
-	if s.prep && s.dirty > 0 &&
-		(s.dirty >= prepDirtyMin || s.dirty*prepDirtyFrac >= len(s.clauses)) {
-		if !s.Preprocess() {
-			s.conflictSet = s.conflictSet[:0]
-			return Unsat
-		}
 	}
 	s.assumptions = append(s.assumptions[:0], assumptions...)
 	s.conflictSet = s.conflictSet[:0]
@@ -969,15 +879,13 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 
 	s.lubyIdx = 0
 	for {
-		maxC := s.restartInterval(s.lubyIdx)
+		maxC := int(luby(s.lubyIdx) * restartBase)
 		s.lubyIdx++
 		st := s.search(maxC)
 		switch st {
 		case Sat:
-			// Snapshot the model before the deferred backtrack erases it,
-			// then reconstruct values for eliminated variables.
+			// Snapshot the model before the deferred backtrack erases it.
 			s.model = append(s.model[:0], s.assigns...)
-			s.extendModel()
 			return Sat
 		case Unsat:
 			return Unsat

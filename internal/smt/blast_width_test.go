@@ -3,7 +3,6 @@ package smt
 import (
 	"fmt"
 	"math/big"
-	"math/rand"
 	"testing"
 )
 
@@ -101,56 +100,6 @@ func TestBlastCompareSmallWidthExhaustive(t *testing.T) {
 					}
 				}
 			})
-		}
-	}
-}
-
-// TestPreprocessBlastedQFBVDifferential is the QF_BV half of the
-// preprocessing property test: random blasted bit-vector constraints must
-// get the same verdict with preprocessing on, and the reconstructed model
-// must satisfy the original (un-preprocessed) terms under the reference
-// evaluator.
-func TestPreprocessBlastedQFBVDifferential(t *testing.T) {
-	for iter := 0; iter < 120; iter++ {
-		rng := rand.New(rand.NewSource(int64(7000 + iter)))
-		c := NewCtx()
-		w := []int{1, 3, 4, 8}[rng.Intn(4)]
-		x := c.Var("x", w)
-		y := c.Var("y", w)
-		t1 := randTerm(c, rng, []*Term{x, y}, 3)
-		t2 := randTerm(c, rng, []*Term{x, y}, 3)
-		var cond *Term
-		switch rng.Intn(3) {
-		case 0:
-			cond = c.Eq(t1, t2)
-		case 1:
-			cond = c.Ult(t1, t2)
-		default:
-			cond = c.And(c.Ule(t1, t2), c.Neq(t1, c.BV(0, w)))
-		}
-
-		plain, prep := NewSolver(c), NewSolver(c)
-		prep.SetPreprocess(true)
-		plain.Assert(cond)
-		prep.Assert(cond)
-
-		st, want := prep.Check(), plain.Check()
-		if st != want {
-			t.Fatalf("iter %d: preprocess verdict %v, plain %v (cond %v)", iter, st, want, cond)
-		}
-		if st != Sat {
-			continue
-		}
-		m := prep.Model()
-		if !EvalBool(cond, m.Env()) {
-			t.Fatalf("iter %d: reconstructed model does not satisfy the original term", iter)
-		}
-		// A second incremental query with an extra pinning assumption must
-		// also agree — this drives the freeze/restore machinery.
-		pin := c.Eq(x, c.BVBig(EvalBV(x, m.Env()), w))
-		st, want = prep.Check(pin), plain.Check(pin)
-		if st != want {
-			t.Fatalf("iter %d: pinned verdict %v, plain %v", iter, st, want)
 		}
 	}
 }

@@ -46,37 +46,10 @@ func (s *Solver) SetBudget(conflicts int64) { s.sat.SetBudget(conflicts) }
 // keep memory flat; values <= 0 remove the bound.
 func (s *Solver) SetLearntCap(n int) { s.sat.SetLearntCap(n) }
 
-// SetPreprocess enables SatELite-style CNF preprocessing (subsumption,
-// self-subsuming resolution, bounded variable elimination) in the SAT
-// core. Models are reconstructed for eliminated variables and assumption/
-// indicator variables are exempt, so verdicts, models, and unsat cores are
-// unchanged; only the search gets cheaper.
-func (s *Solver) SetPreprocess(on bool) { s.sat.SetPreprocess(on) }
-
-// Preprocess runs one preprocessing round immediately; it returns false if
-// simplification alone proves the asserted constraints unsatisfiable.
-func (s *Solver) Preprocess() bool { return s.sat.Preprocess() }
-
-// Personality re-exports the SAT core's search-heuristic configuration for
-// portfolio racing; see sat.Personality.
-type Personality = sat.Personality
-
-// Portfolio returns k racing personalities; index 0 is always the exact
-// baseline solver.
-func Portfolio(k int) []Personality { return sat.Portfolio(k) }
-
-// SetPersonality applies search-heuristic knobs to the underlying SAT
-// core. Verdicts are unaffected; only the path to them changes.
-func (s *Solver) SetPersonality(p Personality) { s.sat.SetPersonality(p) }
-
 // SetCancel installs a shared cancellation token on the SAT core: once it
 // becomes true, in-flight and future checks return Unknown at the next
 // cooperative poll. nil removes the token.
 func (s *Solver) SetCancel(c *atomic.Bool) { s.sat.SetCancel(c) }
-
-// Canceled reports whether the last check's Unknown came from the
-// cancellation token rather than the conflict budget.
-func (s *Solver) Canceled() bool { return s.sat.Canceled() }
 
 // Stats returns (decisions, conflicts, propagations) of the underlying SAT
 // solver.
@@ -97,9 +70,6 @@ type SolverStats struct {
 	LearntClauses  int64
 	LearntLits     int64
 	LearntDeleted  int64 // learnt clauses evicted by database reduction
-	ElimVars       int64 // variables removed by bounded variable elimination
-	Subsumed       int64 // clauses deleted by subsumption
-	Strengthened   int64 // clauses shrunk by self-subsuming resolution
 	TseitinClauses int64 // CNF clauses emitted by the blaster (>= retained)
 	BlastHits      int64 // per-term blast-cache hits
 	BlastMisses    int64 // per-term blast-cache misses
@@ -121,9 +91,6 @@ func (s *Solver) SolverStats() SolverStats {
 		LearntClauses:  s.sat.Learnt,
 		LearntLits:     s.sat.LearntLits,
 		LearntDeleted:  s.sat.Deleted,
-		ElimVars:       s.sat.ElimVars,
-		Subsumed:       s.sat.SubsumedClauses,
-		Strengthened:   s.sat.StrengthenedClauses,
 		TseitinClauses: s.b.clausesEmitted,
 		BlastHits:      s.b.cacheHits,
 		BlastMisses:    s.b.cacheMisses,
@@ -167,25 +134,10 @@ func (s *Solver) Assert(t *Term) {
 
 // Indicator blasts a boolean term and returns a SAT literal equivalent to
 // it, without asserting it. Used for assumptions and MaxSAT soft clauses.
-// The literal's variable is frozen: an activation literal's truth varies
-// per query, so CNF preprocessing must never resolve it away between
-// incremental checks.
 func (s *Solver) Indicator(t *Term) sat.Lit {
 	mustBool("Indicator", t)
-	l := s.b.boolLit(t)
-	s.sat.FreezeVar(l.Var())
-	return l
+	return s.b.boolLit(t)
 }
-
-// Retire releases an indicator literal obtained from Indicator: the
-// variable is unfrozen, so CNF preprocessing may eliminate it and
-// resolve the stale cone's clauses away in later rounds. Retiring never
-// constrains the formula — the retired condition's truth stays free, so
-// verdicts of subsequent checks are unaffected; only dead weight becomes
-// reclaimable. If the condition recurs, Indicator re-freezes the
-// variable (restoring it first if it was eliminated), so retirement is
-// always safe, even speculatively.
-func (s *Solver) Retire(l sat.Lit) { s.sat.UnfreezeVar(l.Var()) }
 
 // Check determines satisfiability of the asserted constraints under the
 // given boolean assumption terms.

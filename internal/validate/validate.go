@@ -71,23 +71,8 @@ func Validate(prog *p4.Program, snap *tables.Snapshot, components []string, opts
 	return run(prog, snap, components, opts, Config{})
 }
 
-// ValidateSimplify runs the same refinement proof but passes every solver
-// query through the algebraic simplification pass first — exercising, in
-// the §6 pipeline itself, that simplification preserves the refinement
-// verdict.
-func ValidateSimplify(prog *p4.Program, snap *tables.Snapshot, components []string, opts encode.Options) (*Result, error) {
-	return run(prog, snap, components, opts, Config{Simplify: true})
-}
-
-// Config selects the optional solver-side passes of a validation run.
+// Config configures a validation run.
 type Config struct {
-	// Simplify routes every refinement query through the algebraic
-	// simplification pass.
-	Simplify bool
-	// Preprocess enables SatELite-style CNF preprocessing in the solver —
-	// exercising, like Simplify, that the pass preserves refinement
-	// verdicts inside the §6 pipeline itself.
-	Preprocess bool
 	// Obs attaches observability sinks for this run; nil falls back to the
 	// process default. The fuzzing engine passes a per-iteration registry
 	// here to read coverage signatures without touching global state.
@@ -101,7 +86,7 @@ func (c Config) observer() *obs.Obs {
 	return obs.Default()
 }
 
-// ValidateWith runs the refinement proof with the given pass configuration.
+// ValidateWith runs the refinement proof with the given configuration.
 func ValidateWith(prog *p4.Program, snap *tables.Snapshot, components []string, opts encode.Options, cfg Config) (*Result, error) {
 	return run(prog, snap, components, opts, cfg)
 }
@@ -148,21 +133,13 @@ func run(prog *p4.Program, snap *tables.Snapshot, components []string, opts enco
 	defer endCheck()
 	res := &Result{Time: 0}
 	solver := smt.NewSolver(ctx)
-	if cfg.Preprocess {
-		solver.SetPreprocess(true)
-	}
-	query := func(cond *smt.Term) *smt.Term { return cond }
-	if cfg.Simplify {
-		simp := smt.NewSimplifier(ctx)
-		query = simp.Simplify
-	}
 
 	// The Assume part: both representations must constrain inputs alike.
 	// A path-condition divergence is reported against the pseudo-variable
 	// "$path".
 	pathA := aRes.Path
 	pathX := xState.wf
-	if st := solver.Check(query(ctx.Not(ctx.Iff(pathA, pathX)))); st == smt.Sat {
+	if st := solver.Check(ctx.Not(ctx.Iff(pathA, pathX))); st == smt.Sat {
 		m := solver.Model()
 		solver.ModelCollect(m, ctx.Iff(pathA, pathX))
 		res.Mismatches = append(res.Mismatches, Mismatch{Var: "$path", Cex: renderModel(ctx, pathA, pathX, m)})
@@ -209,7 +186,7 @@ func run(prog *p4.Program, snap *tables.Snapshot, components []string, opts enco
 		}
 		// Only inputs that survive both sides' assumptions matter.
 		cond := ctx.And(pathA, pathX, diff)
-		if solver.Check(query(cond)) == smt.Sat {
+		if solver.Check(cond) == smt.Sat {
 			m := solver.Model()
 			solver.ModelCollect(m, cond)
 			res.Mismatches = append(res.Mismatches, Mismatch{Var: name, Cex: renderModel(ctx, aVal, xVal, m)})
@@ -223,9 +200,6 @@ func run(prog *p4.Program, snap *tables.Snapshot, components []string, opts enco
 		m.Counter(obs.CtrSATConflicts).Add(ss.Conflicts)
 		m.Counter(obs.CtrSATDecisions).Add(ss.Decisions)
 		m.Counter(obs.CtrSATPropagations).Add(ss.Propagations)
-		m.Counter(obs.CtrSATElimVars).Add(ss.ElimVars)
-		m.Counter(obs.CtrSATSubsumed).Add(ss.Subsumed)
-		m.Counter(obs.CtrSATStrengthened).Add(ss.Strengthened)
 		m.Counter(obs.CtrSMTTseitinClauses).Add(ss.TseitinClauses)
 	}
 	o.Event("validate_done", map[string]any{

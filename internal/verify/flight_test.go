@@ -32,7 +32,7 @@ func flightSink() *obs.Obs {
 // TestFlightCanonicalMatrix pins the determinism contract across the
 // whole engine matrix: canonical report bytes are byte-identical with
 // the full flight recorder attached vs no sinks at all, for
-// {fresh, parallel, incremental, stream} × workers 1/2/4.
+// {fresh, parallel, steal, stream} × workers 1/2/4.
 func TestFlightCanonicalMatrix(t *testing.T) {
 	prog, spec := dcGateway(t)
 	configs := []struct {
@@ -42,9 +42,9 @@ func TestFlightCanonicalMatrix(t *testing.T) {
 		{"fresh/w1", Options{FindAll: true, Parallel: 1}},
 		{"parallel/w2", Options{FindAll: true, Parallel: 2}},
 		{"parallel/w4", Options{FindAll: true, Parallel: 4}},
-		{"incremental/w1", Options{FindAll: true, Incremental: true, Parallel: 1}},
-		{"incremental/w2", Options{FindAll: true, Incremental: true, Parallel: 2}},
-		{"incremental/w4", Options{FindAll: true, Incremental: true, Parallel: 4}},
+		{"steal/w1", Options{FindAll: true, Schedule: ScheduleSteal, Parallel: 1}},
+		{"steal/w2", Options{FindAll: true, Schedule: ScheduleSteal, Parallel: 2}},
+		{"steal/w4", Options{FindAll: true, Schedule: ScheduleSteal, Parallel: 4}},
 		{"stream/w1", Options{FindAll: true, Stream: true, Parallel: 1}},
 	}
 	var want []byte

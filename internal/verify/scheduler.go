@@ -1,8 +1,8 @@
-// Work-stealing find-all scheduler. Static sharding (checkAllIncremental)
-// keys every assertion to one worker up front, so a single heavy assertion
-// leaves its shard grinding while the others idle — the straggler pattern
-// the obs utilization analytics measure. Here the static shards become
-// per-worker deques ordered largest-first (by blast-size estimate), a
+// Work-stealing find-all scheduler. Static sharding keys every assertion
+// to one worker up front, so a single heavy assertion leaves its shard
+// grinding while the others idle — the straggler pattern the obs
+// utilization analytics measure. Here the static shards become per-worker
+// deques ordered largest-first (by blast-size estimate), a
 // worker drains its own deque with a long-lived incremental solver, and an
 // idle worker steals the largest remaining item from the busiest-looking
 // victim, paying the fresh-blast fallback because its own solver's
@@ -11,10 +11,10 @@
 // Determinism: which worker runs a check (and whether it was stolen)
 // changes only cost accounting. Verdicts are semantic; Sat answers are
 // re-solved on the original condition by a deterministic fresh solver in
-// every path (checkOneShared, checkOne, raceOne), so canonical reports are
-// byte-identical to the static engines at every {workers, portfolio}
-// point. Budget (Unknown) verdicts remain the documented exception:
-// stealing changes which learned clauses a budget reaches with.
+// every path (checkOneShared, checkOne), so canonical reports are
+// byte-identical to the static engine at every worker count. Budget
+// (Unknown) verdicts remain the documented exception: stealing changes
+// which learned clauses a budget reaches with.
 package verify
 
 import (
@@ -81,11 +81,10 @@ func (q *stealQueue) next(w int) (idx int, stolen, ok bool) {
 }
 
 // checkAllSteal is find-all under the work-stealing scheduler (Options.
-// Schedule == ScheduleSteal), with optional per-check portfolio racing
-// (Options.Portfolio > 1). Owned checks run on the worker's long-lived
-// incremental solver via activation literals (with racing, that solver is
-// seat 0 of the race); stolen checks fall back to deterministic fresh
-// blasting, exactly the static fresh engine's unit of work.
+// Schedule == ScheduleSteal). Owned checks run on the worker's long-lived
+// incremental solver via activation literals; stolen checks fall back to
+// deterministic fresh blasting, exactly the static fresh engine's unit of
+// work.
 func (rep *Report) checkAllSteal(opts Options) error {
 	conds := rep.Result.Violations
 	n := len(conds)
@@ -98,9 +97,6 @@ func (rep *Report) checkAllSteal(opts Options) error {
 	}
 	rep.Stats.Workers = workers
 	rep.Stats.Schedule = ScheduleSteal.String()
-	if opts.Portfolio > 1 {
-		rep.Stats.Portfolio = opts.Portfolio
-	}
 	o := opts.Observer()
 
 	// Slices are computed serially before the context may freeze (slicing
@@ -147,32 +143,21 @@ func (rep *Report) checkAllSteal(opts Options) error {
 			out := &outs[i]
 			out.stolen = stolen
 			endSpan := o.Span(worker, "solve:"+v.Label)
-			switch {
-			case stolen && opts.Portfolio > 1:
-				out.fill(rep.raceOne(opts, v, checkConds[i], worker, nil))
-			case stolen:
+			if stolen {
 				out.status, out.model, out.ss, out.cpu =
 					rep.checkOne(opts, v, checkConds[i], worker)
-			default:
+			} else {
 				if solver == nil {
-					solver = smt.NewSolver(rep.Ctx)
-					if opts.Budget > 0 {
-						solver.SetBudget(opts.Budget)
-					}
-					if opts.Preprocess {
-						solver.SetPreprocess(true)
-					}
+					solver = opts.newSolver(rep.Ctx)
 				}
-				if opts.Portfolio > 1 {
-					out.fill(rep.raceOne(opts, v, checkConds[i], worker,
-						&sharedSeat{solver: solver, prev: &prev}))
-				} else {
-					var sharedTseitin int64
-					out.status, out.model, out.ss, out.cpu, sharedTseitin =
-						rep.checkOneShared(opts, v, checkConds[i], worker, solver, &prev)
-					if sharedTseitin > prefixClauses[shard] {
-						prefixClauses[shard] = sharedTseitin
-					}
+				var sharedTseitin int64
+				out.status, out.model, out.ss, out.cpu, sharedTseitin =
+					rep.checkOneShared(opts, v, checkConds[i], worker, solver, &prev)
+				if sharedTseitin > prefixClauses[shard] {
+					// The check that first touches the real VC blasts the
+					// whole shared prefix; later owned checks reuse its CNF,
+					// so the largest single-check delta is that one-time cost.
+					prefixClauses[shard] = sharedTseitin
 				}
 			}
 			endSpan()
@@ -189,14 +174,10 @@ func (rep *Report) checkAllSteal(opts Options) error {
 		}
 	}
 
-	if workers > 1 || opts.Portfolio > 1 {
+	if workers > 1 {
 		// The context becomes shared read-only state; blasting and model
 		// extraction never intern, and any stray term creation serializes.
-		// Portfolio racing needs this even on one worker: the racers are
-		// concurrent goroutines over the same DAG.
 		rep.Ctx.Freeze()
-	}
-	if workers > 1 {
 		if o != nil && o.Tracer != nil {
 			o.Tracer.NameThread(0, "main")
 			for w := 1; w <= workers; w++ {
@@ -222,17 +203,13 @@ func (rep *Report) checkAllSteal(opts Options) error {
 	// Consume results in assertion order, exactly as checkAll: checks the
 	// early stop skipped run inline fresh on the caller (worker/tid 0), so
 	// the consumed prefix — violations up to the first budget-exhausted
-	// check — is identical at every {workers, portfolio, schedule} point.
+	// check — is identical at every {workers, schedule} point.
 	var err error
 	for i, v := range conds {
 		if !outs[i].done {
 			endSpan := o.Span(0, "solve:"+v.Label)
 			out := &outs[i]
-			if opts.Portfolio > 1 {
-				out.fill(rep.raceOne(opts, v, checkConds[i], 0, nil))
-			} else {
-				out.status, out.model, out.ss, out.cpu = rep.checkOne(opts, v, checkConds[i], 0)
-			}
+			out.status, out.model, out.ss, out.cpu = rep.checkOne(opts, v, checkConds[i], 0)
 			endSpan()
 			rep.recordCheck(o, v.Label, 0, out.ss, out.status, out.cpu)
 			out.done = true
@@ -240,7 +217,9 @@ func (rep *Report) checkAllSteal(opts Options) error {
 		out := &outs[i]
 		rep.Stats.SolveCPU += out.cpu
 		rep.Stats.addSolver(out.ss)
-		rep.Stats.foldRace(out)
+		if out.stolen {
+			rep.Stats.Steals++
+		}
 		rep.Stats.PerAssertion = append(rep.Stats.PerAssertion, AssertionCost{
 			Label:        v.Label,
 			Status:       statusString(out.status),

@@ -28,8 +28,7 @@ import (
 //     terms are re-factored;
 //   - one shared incremental SAT solver whose blasted CNF and learned
 //     clauses persist across checks and across deltas ("blast once,
-//     re-check little"), with stale activation literals retired
-//     (unfrozen) so CNF preprocessing may reclaim dead cones;
+//     re-check little");
 //   - a per-assertion verdict cache replayed when a condition is
 //     pointer-unchanged.
 //
@@ -46,14 +45,15 @@ import (
 //     cannot make a held assertion fail.
 //   - anything else (changed slice, cached Sat under a changed full
 //     condition, cached Unknown) → re-check on the warm shared solver
-//     with the same canonicalization the incremental engine uses: a Sat
+//     with the same canonicalization the steal scheduler uses: a Sat
 //     is re-solved on the full condition by a deterministic fresh
 //     solver, a sliced Sat whose full condition is Unsat becomes Unsat,
 //     a contradiction surfaces as Unknown.
 //
 // Under those rules every Apply report's CanonicalJSON is byte-identical
 // to a fresh verify.Run on the mutated snapshot, with budget-exhaustion
-// (Unknown) verdicts the same documented exception incremental mode has.
+// (Unknown) verdicts the same documented exception the steal scheduler
+// has.
 type Session struct {
 	prog *p4.Program
 	spec *lpi.Spec
@@ -65,13 +65,9 @@ type Session struct {
 
 	slicer *slicer
 
-	// Warm shared solver state. live tracks conditions with an active
-	// (frozen) indicator on the current solver; retiring a condition
-	// unfreezes its indicator, and re-checking a retired condition simply
-	// re-freezes it, so no condition ever forces a rebuild.
+	// Warm shared solver state.
 	solver *smt.Solver
 	prev   smt.SolverStats
-	live   map[*smt.Term]bool
 
 	cache []sessionEntry
 	fqs   []string // all fq table names of the program
@@ -108,9 +104,6 @@ type SessionStats struct {
 	// assertions re-solved (baseline checks included).
 	ReuseHits int64
 	Rechecks  int64
-	// Retired counts stale indicators released (unfrozen) so CNF
-	// preprocessing may reclaim their cones.
-	Retired int64
 }
 
 // NewSession loads prog + snap once and runs the baseline verification.
@@ -133,7 +126,6 @@ func NewSession(prog *p4.Program, snap *tables.Snapshot, spec *lpi.Spec, opts Op
 		mark:   ctx.Mark(),
 		snap:   snap.Clone(),
 		slicer: newSlicer(ctx),
-		live:   map[*smt.Term]bool{},
 	}
 	for ctlName, ctl := range prog.Controls {
 		for tname := range ctl.Tables {
@@ -249,21 +241,13 @@ func (s *Session) Close() {
 func (s *Session) dropSolver() {
 	s.solver = nil
 	s.prev = smt.SolverStats{}
-	s.live = map[*smt.Term]bool{}
 }
 
 // ensureSolver returns the warm shared solver, creating it on first use
 // and after Compact.
 func (s *Session) ensureSolver() *smt.Solver {
 	if s.solver == nil {
-		s.solver = smt.NewSolver(s.ctx)
-		if s.opts.Budget > 0 {
-			s.solver.SetBudget(s.opts.Budget)
-		}
-		if s.opts.Preprocess {
-			s.solver.SetPreprocess(true)
-		}
-		s.opts.installCancel(s.solver)
+		s.solver = s.opts.newSolver(s.ctx)
 		s.prev = smt.SolverStats{}
 	}
 	return s.solver
@@ -392,11 +376,6 @@ func (s *Session) run(delta *tables.Delta) (*Report, error) {
 			rep.Violations = append(rep.Violations, viol)
 		}
 	}
-	current := make(map[*smt.Term]bool, len(checkConds))
-	for _, c := range checkConds {
-		current[c] = true
-	}
-	s.retireStale(current)
 	endSolve()
 
 	rep.Stats.SolveTime = time.Since(t1)
@@ -438,37 +417,13 @@ func (s *Session) replay(ce *sessionEntry, v *gcl.Violation, checkCond *smt.Term
 	return 0, nil, false
 }
 
-// recheck solves one condition on the warm shared solver with the
-// incremental engine's canonicalization (checkOneShared). A previously
-// retired condition recurring here is fine: checkOneShared's Indicator
-// call re-freezes the variable, restoring it if preprocessing had
-// eliminated it in the meantime.
+// recheck solves one condition on the warm shared solver with the steal
+// scheduler's canonicalization (checkOneShared).
 func (s *Session) recheck(v *gcl.Violation, checkCond *smt.Term) (smt.Status, *smt.Model, smt.SolverStats, time.Duration) {
 	solver := s.ensureSolver()
 	rep := &Report{Ctx: s.ctx} // carrier for the shared check helpers
 	st, model, ss, cpu, _ := rep.checkOneShared(s.opts, v, checkCond, 0, solver, &s.prev)
-	s.live[checkCond] = true
 	return st, model, ss, cpu
-}
-
-// retireStale releases the indicators of conditions superseded in this
-// run: for every live condition no current check uses, the activation
-// variable is unfrozen so CNF preprocessing may eliminate it and resolve
-// the dead cone's clauses away. Retiring never constrains the formula,
-// so it is safe even when a later delta brings the condition back.
-// Called by run after the check loop, when the new conditions are known.
-func (s *Session) retireStale(checkConds map[*smt.Term]bool) {
-	if s.solver == nil {
-		return
-	}
-	for cond := range s.live {
-		if checkConds[cond] {
-			continue
-		}
-		s.solver.Retire(s.solver.Indicator(cond))
-		delete(s.live, cond)
-		s.stats.Retired++
-	}
 }
 
 // buildDeps rebuilds the table -> assertion dependency index from the

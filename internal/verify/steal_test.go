@@ -2,7 +2,9 @@ package verify
 
 import (
 	"bytes"
+	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"aquila/internal/genprog"
@@ -49,56 +51,45 @@ func TestStealQueueOrder(t *testing.T) {
 	}
 }
 
-// TestStealPortfolioMatrixByteIdentical is the tentpole determinism
-// contract: on the DC gateway, canonical report bytes are identical across
-// the full {schedule} × {portfolio} × {workers} grid — work stealing moves
-// checks between solvers and racing lets nondeterministic personalities
-// win, but verdicts are semantic and every Sat is re-solved by the same
-// deterministic fresh solver.
-func TestStealPortfolioMatrixByteIdentical(t *testing.T) {
-	bm := progs.DCGatewayBench()
-	prog, err := bm.Parse()
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	spec, err := lpi.Parse(progs.InvalidHeaderAccessSpec(prog, bm.Calls))
-	if err != nil {
-		t.Fatalf("spec: %v", err)
-	}
-	base, err := Run(prog, nil, spec, Options{FindAll: true, Parallel: 1})
-	if err != nil {
-		t.Fatalf("baseline: %v", err)
-	}
-	want, err := base.CanonicalJSON()
-	if err != nil {
-		t.Fatalf("canonical: %v", err)
-	}
-	for _, sched := range []Schedule{ScheduleStatic, ScheduleSteal} {
-		for _, k := range []int{1, 2, 4} {
+// TestStealMatrixByteIdentical is the scheduler's determinism contract:
+// on the whole corpus, canonical report bytes are identical across the
+// {schedule} × {workers} grid — work stealing moves checks between
+// solvers, but verdicts are semantic and every Sat is re-solved by the
+// same deterministic fresh solver. On the DC gateway, a serial steal run
+// checks every assertion on one owner solver, so the shared VC prefix is
+// blasted once and the run emits strictly fewer Tseitin clauses than
+// fresh mode.
+func TestStealMatrixByteIdentical(t *testing.T) {
+	for _, c := range corpusSuite(t) {
+		base, err := Run(c.prog, nil, c.spec, Options{FindAll: true, Parallel: 1})
+		if err != nil {
+			t.Fatalf("%s: baseline: %v", c.name, err)
+		}
+		want, err := base.CanonicalJSON()
+		if err != nil {
+			t.Fatalf("%s: canonical: %v", c.name, err)
+		}
+		for _, sched := range []Schedule{ScheduleStatic, ScheduleSteal} {
 			for _, w := range []int{1, 2, 4} {
-				opts := Options{FindAll: true, Parallel: w, Schedule: sched, Portfolio: k}
-				rep, err := Run(prog, nil, spec, opts)
+				rep, err := Run(c.prog, nil, c.spec, Options{FindAll: true, Parallel: w, Schedule: sched})
 				if err != nil {
-					t.Fatalf("sched=%v portfolio=%d workers=%d: %v", sched, k, w, err)
+					t.Fatalf("%s: sched=%v workers=%d: %v", c.name, sched, w, err)
 				}
 				got, err := rep.CanonicalJSON()
 				if err != nil {
-					t.Fatalf("sched=%v portfolio=%d workers=%d canonical: %v", sched, k, w, err)
+					t.Fatalf("%s: sched=%v workers=%d canonical: %v", c.name, sched, w, err)
 				}
 				if !bytes.Equal(got, want) {
-					t.Errorf("sched=%v portfolio=%d workers=%d differs from baseline\nbase: %s\ngot: %s",
-						sched, k, w, want, got)
+					t.Errorf("%s: sched=%v workers=%d differs from baseline\nbase: %s\ngot: %s",
+						c.name, sched, w, want, got)
 				}
 				if sched == ScheduleSteal && rep.Stats.Schedule != "steal" {
-					t.Errorf("sched=steal: Stats.Schedule = %q", rep.Stats.Schedule)
+					t.Errorf("%s: sched=steal: Stats.Schedule = %q", c.name, rep.Stats.Schedule)
 				}
-				if k > 1 {
-					if rep.Stats.Portfolio != k {
-						t.Errorf("portfolio=%d: Stats.Portfolio = %d", k, rep.Stats.Portfolio)
-					}
-					if rep.Stats.RacesWon == 0 {
-						t.Errorf("portfolio=%d workers=%d: no races won recorded", k, w)
-					}
+				if sched == ScheduleSteal && w == 1 && c.name == progs.DCGatewayBench().Name &&
+					rep.Stats.TseitinClauses >= base.Stats.TseitinClauses {
+					t.Errorf("%s: serial steal emitted %d Tseitin clauses, want < fresh %d",
+						c.name, rep.Stats.TseitinClauses, base.Stats.TseitinClauses)
 				}
 			}
 		}
@@ -106,8 +97,8 @@ func TestStealPortfolioMatrixByteIdentical(t *testing.T) {
 }
 
 // TestStealGenprogDifferential repeats the contract on synthetic
-// production-shaped programs with seeded bugs, so stealing and racing are
-// exercised on reports that contain real violations and counterexamples.
+// production-shaped programs with seeded bugs, so stealing is exercised on
+// reports that contain real violations and counterexamples.
 func TestStealGenprogDifferential(t *testing.T) {
 	cfgs := []genprog.Config{
 		{Name: "gp_steal", Pipes: 1, ParserStates: 6, Tables: 10, ActionsPerTable: 2, SeedBug: true},
@@ -133,30 +124,29 @@ func TestStealGenprogDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: canonical: %v", cfg.Name, err)
 		}
-		for _, k := range []int{1, 2} {
-			for _, w := range []int{1, 2} {
-				rep, err := Run(prog, nil, spec, Options{FindAll: true, Parallel: w,
-					Schedule: ScheduleSteal, Portfolio: k})
-				if err != nil {
-					t.Fatalf("%s: steal portfolio=%d w=%d: %v", cfg.Name, k, w, err)
-				}
-				got, err := rep.CanonicalJSON()
-				if err != nil {
-					t.Fatalf("%s: canonical: %v", cfg.Name, err)
-				}
-				if !bytes.Equal(got, want) {
-					t.Errorf("%s: steal portfolio=%d w=%d differs from fresh\nfresh: %s\nsteal: %s",
-						cfg.Name, k, w, want, got)
-				}
+		for _, w := range []int{1, 2} {
+			rep, err := Run(prog, nil, spec, Options{FindAll: true, Parallel: w,
+				Schedule: ScheduleSteal})
+			if err != nil {
+				t.Fatalf("%s: steal w=%d: %v", cfg.Name, w, err)
+			}
+			got, err := rep.CanonicalJSON()
+			if err != nil {
+				t.Fatalf("%s: canonical: %v", cfg.Name, err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s: steal w=%d differs from fresh\nfresh: %s\nsteal: %s",
+					cfg.Name, w, want, got)
 			}
 		}
 	}
 }
 
-// TestStealCancelHammer drives the steal and race-cancellation paths hard
-// enough for the -race CI job to see the interleavings: many workers over
-// few assertions forces stealing, and a wide portfolio makes every check a
-// cancellation storm. Verdict bytes must still match the serial baseline.
+// TestStealCancelHammer drives the steal path hard enough for the -race
+// CI job to see the interleavings: many workers over few assertions
+// forces stealing under both schedules, and every run polls a live
+// (never fired) cancellation token from every solver. Verdict bytes must
+// still match the serial baseline.
 func TestStealCancelHammer(t *testing.T) {
 	bm := progs.DCGatewayBench()
 	prog, err := bm.Parse()
@@ -179,19 +169,62 @@ func TestStealCancelHammer(t *testing.T) {
 	if testing.Short() {
 		iters = 1
 	}
+	var tok atomic.Bool
 	for it := 0; it < iters; it++ {
-		rep, err := Run(prog, nil, spec, Options{FindAll: true, Parallel: 8,
-			Schedule: ScheduleSteal, Portfolio: 4})
-		if err != nil {
-			t.Fatalf("iter %d: %v", it, err)
+		for _, sched := range []Schedule{ScheduleStatic, ScheduleSteal} {
+			for _, w := range []int{2, 8} {
+				rep, err := Run(prog, nil, spec, Options{FindAll: true, Parallel: w,
+					Schedule: sched, Cancel: &tok})
+				if err != nil {
+					t.Fatalf("iter %d sched=%v w=%d: %v", it, sched, w, err)
+				}
+				got, err := rep.CanonicalJSON()
+				if err != nil {
+					t.Fatalf("iter %d: canonical: %v", it, err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("iter %d sched=%v w=%d: hammer report differs from baseline", it, sched, w)
+				}
+			}
 		}
-		got, err := rep.CanonicalJSON()
-		if err != nil {
-			t.Fatalf("iter %d: canonical: %v", it, err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("iter %d: hammer report differs from baseline", it)
-		}
+	}
+}
+
+// TestStealBudgetExhaustion pins budget semantics under the steal
+// scheduler: a budget too small for any check surfaces ErrBudget with
+// the same consumed prefix as fresh mode. (Beyond an owner's first check,
+// learned clauses make budget reach schedule-dependent — see DESIGN.md —
+// so only the all-Unknown case is pinned.)
+func TestStealBudgetExhaustion(t *testing.T) {
+	bm := progs.DCGatewayBench()
+	prog, err := bm.Parse()
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	spec, err := lpi.Parse(progs.InvalidHeaderAccessSpec(prog, bm.Calls))
+	if err != nil {
+		t.Fatalf("spec: %v", err)
+	}
+	fresh, err := Run(prog, nil, spec, Options{FindAll: true, Budget: 1, Parallel: 1})
+	if !errors.Is(err, ErrBudget) {
+		t.Fatalf("fresh budget=1: err = %v, want ErrBudget", err)
+	}
+	want, cerr := fresh.CanonicalJSON()
+	if cerr != nil {
+		t.Fatalf("canonical: %v", cerr)
+	}
+	rep, err := Run(prog, nil, spec, Options{FindAll: true, Budget: 1, Parallel: 1,
+		Schedule: ScheduleSteal})
+	if !errors.Is(err, ErrBudget) {
+		t.Fatalf("steal budget=1: err = %v, want ErrBudget", err)
+	}
+	got, cerr := rep.CanonicalJSON()
+	if cerr != nil {
+		t.Fatalf("canonical: %v", cerr)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("budget-exhausted steal report differs from fresh\nfresh: %s\nsteal: %s",
+			want, got)
 	}
 }
 
@@ -224,10 +257,9 @@ func TestOptionsValidate(t *testing.T) {
 	ok := []Options{
 		{},
 		{FindAll: true, Schedule: ScheduleSteal, Parallel: 4},
-		{FindAll: true, Portfolio: 4, Parallel: 2},
-		{FindAll: true, Schedule: ScheduleSteal, Portfolio: 2},
-		{FindAll: true, Incremental: true, Parallel: 4},
+		{FindAll: true, Schedule: ScheduleSteal, Slice: true},
 		{FindAll: true, Stream: true, Parallel: 1},
+		{FindAll: true, Cancel: new(atomic.Bool), Parallel: 4},
 	}
 	for i, o := range ok {
 		if err := o.Validate(); err != nil {
@@ -238,15 +270,9 @@ func TestOptionsValidate(t *testing.T) {
 		opts Options
 		frag string
 	}{
-		{Options{Portfolio: -1}, "portfolio"},
-		{Options{FindAll: true, Stream: true, Incremental: true}, "-stream"},
 		{Options{FindAll: true, Stream: true, Parallel: 4}, "-stream"},
-		{Options{FindAll: true, Stream: true, Portfolio: 2}, "-stream"},
 		{Options{FindAll: true, Stream: true, Schedule: ScheduleSteal}, "-stream"},
-		{Options{FindAll: true, Schedule: ScheduleSteal, Incremental: true}, "-schedule steal"},
 		{Options{Schedule: ScheduleSteal}, "find-all"},
-		{Options{Portfolio: 2}, "find-all"},
-		{Options{FindAll: true, Portfolio: 2, Incremental: true}, "-portfolio"},
 	}
 	for i, c := range bad {
 		err := c.opts.Validate()
@@ -279,7 +305,7 @@ func TestOptionsValidate(t *testing.T) {
 // its adder-identity guard has symmetric counterexample candidates, so
 // any map-iteration-order leak into term construction (gcl's branch merge
 // once had one) shows up as a flipped model here. The bench sweeps and
-// the CI portfolio smoke compare reports across processes; this is the
+// the CI steal smoke compare reports across processes; this is the
 // contract they stand on.
 func TestRunByteStableAcrossRuns(t *testing.T) {
 	bm := progs.SkewedBench()
@@ -291,7 +317,7 @@ func TestRunByteStableAcrossRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{FindAll: true, Parallel: 1, Preprocess: true, Slice: true}
+	opts := Options{FindAll: true, Parallel: 1, Slice: true}
 	var want []byte
 	for i := 0; i < 3; i++ {
 		rep, err := Run(prog, nil, spec, opts)

@@ -22,17 +22,15 @@ func forceStreamReleases(t *testing.T) {
 // TestStreamMatchesBaseline is the streaming engine's determinism
 // contract: with releases forced after every assertion, canonical report
 // bytes match the plain serial fresh-solver baseline on the whole corpus,
-// with and without slicing/preprocessing in front.
+// with and without slicing in front.
 func TestStreamMatchesBaseline(t *testing.T) {
 	forceStreamReleases(t)
 	passes := []struct {
-		name       string
-		preprocess bool
-		slice      bool
+		name  string
+		slice bool
 	}{
-		{"plain", false, false},
-		{"slice", false, true},
-		{"prep+slice", true, true},
+		{"plain", false},
+		{"slice", true},
 	}
 	for _, c := range corpusSuite(t) {
 		base, err := Run(c.prog, nil, c.spec, Options{FindAll: true, Parallel: 1})
@@ -45,7 +43,7 @@ func TestStreamMatchesBaseline(t *testing.T) {
 		}
 		for _, p := range passes {
 			rep, err := Run(c.prog, nil, c.spec, Options{FindAll: true, Parallel: 1,
-				Stream: true, Preprocess: p.preprocess, Slice: p.slice})
+				Stream: true, Slice: p.slice})
 			if err != nil {
 				t.Fatalf("%s: stream %s: %v", c.name, p.name, err)
 			}
@@ -79,7 +77,7 @@ func TestStreamDefaultThreshold(t *testing.T) {
 			t.Fatalf("%s: canonical: %v", c.name, err)
 		}
 		rep, err := Run(c.prog, nil, c.spec, Options{FindAll: true, Parallel: 1,
-			Stream: true, Preprocess: true, Slice: true})
+			Stream: true, Slice: true})
 		if err != nil {
 			t.Fatalf("%s: stream: %v", c.name, err)
 		}
@@ -171,7 +169,7 @@ func TestStreamGenprogDifferential(t *testing.T) {
 			t.Fatalf("%s: canonical: %v", cfg.Name, err)
 		}
 		rep, err := Run(prog, nil, spec, Options{FindAll: true, Parallel: 1,
-			Stream: true, Preprocess: true, Slice: true})
+			Stream: true, Slice: true})
 		if err != nil {
 			t.Fatalf("%s: stream: %v", cfg.Name, err)
 		}

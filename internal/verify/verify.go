@@ -35,24 +35,6 @@ type Options struct {
 	// Budget bounds SAT conflicts per check (<=0: unlimited). Exhaustion
 	// is reported as ErrBudget.
 	Budget int64
-	// Incremental makes find-all checks share solvers: the common VC
-	// prefix is blasted once per worker shard and each assertion is
-	// checked under an activation literal, reusing the CNF and learned
-	// clauses across checks ("blast once, check many"). Verdicts and
-	// canonical reports are identical to fresh-solver mode; raw cost
-	// counters differ (that is the point). Ignored in find-first mode.
-	Incremental bool
-	// Simplify applies the algebraic simplification pass
-	// (smt.Simplifier) to assertion conditions before blasting.
-	// Only consulted in incremental mode, so the fresh-solver baseline
-	// stays bit-for-bit what it always was.
-	Simplify bool
-	// Preprocess enables SatELite-style CNF preprocessing (subsumption,
-	// self-subsuming resolution, bounded variable elimination) in the SAT
-	// core of every checking solver. Verdicts are unchanged; counterexample
-	// models are re-derived by a plain fresh solver so canonical reports
-	// stay byte-identical to the unpreprocessed baseline.
-	Preprocess bool
 	// Slice enables per-assertion cone-of-influence slicing in find-all
 	// modes: VC conjuncts whose free variables cannot reach the assertion's
 	// checked condition are dropped before blasting. An Unsat slice soundly
@@ -68,8 +50,8 @@ type Options struct {
 	// memory is bounded by the VC plus one assertion's transients instead
 	// of growing with the whole run. Verdicts and canonical reports are
 	// byte-identical to plain fresh mode. Forces the serial path (a frozen
-	// shared context cannot release); ignored in find-first and incremental
-	// modes, which have no transient per-assertion terms to shed.
+	// shared context cannot release); ignored in find-first mode, which has
+	// no transient per-assertion terms to shed.
 	Stream bool
 	// Parallel is the number of worker goroutines for find-all checks and
 	// localization re-checks: 0 means runtime.GOMAXPROCS(0), 1 forces the
@@ -80,35 +62,23 @@ type Options struct {
 	// Schedule selects the find-all work-distribution strategy:
 	// ScheduleStatic (the default) or ScheduleSteal, the work-stealing
 	// scheduler (scheduler.go). Canonical reports are byte-identical
-	// across schedules; steal mode is incompatible with Incremental
-	// (whose static-shard determinism it would break) and Stream.
+	// across schedules; steal mode is incompatible with Stream.
 	Schedule Schedule
-	// Portfolio is the number of solver personalities raced per find-all
-	// check (portfolio.go): 0 or 1 disables racing; K > 1 launches K
-	// diverse solvers under a shared cancellation token and takes the
-	// first verdict. Sat answers are re-solved by a plain fresh solver, so
-	// canonical reports are byte-identical at every K; budget-limited
-	// (Unknown) verdicts are the documented exception, as in incremental
-	// mode. Requires FindAll; incompatible with Incremental and Stream.
-	Portfolio int
 	// Session marks the options as driving a warm delta re-verification
 	// session (session.go / the -churn CLI mode). The session engine is
 	// serial by construction — it keeps one term context, one persistent
 	// slicer, and one warm shared solver alive across table deltas — so
-	// it requires find-all mode and rejects every engine that freezes,
-	// releases, or races over the context. NewSession sets it; the CLIs
-	// set it for flag validation before the session is built.
+	// it requires find-all mode and rejects every engine that freezes or
+	// releases the context. NewSession sets it; the CLIs set it for flag
+	// validation before the session is built.
 	Session bool
 	// Cancel, when non-nil, is a cooperative cancellation token installed
-	// on the checking solvers of the fresh find-all and session engines
-	// (the paths aquila-serve drives): storing true makes in-flight and
-	// future checks return Unknown at the solver's next poll, which the
-	// driver reports as ErrBudget exactly like conflict-budget exhaustion.
-	// aquila-serve maps per-request verification deadlines onto it. The
-	// portfolio racer keeps its own internal token, so Cancel is rejected
-	// with Portfolio > 1 rather than silently overwritten. nil (the
-	// default) installs nothing and leaves verdicts and canonical report
-	// bytes untouched.
+	// on every checking solver of every engine (newSolver): storing true
+	// makes in-flight and future checks return Unknown at the solver's
+	// next poll, which the driver reports as ErrBudget exactly like
+	// conflict-budget exhaustion. aquila-serve maps per-request
+	// verification deadlines onto it. nil (the default) installs nothing
+	// and leaves verdicts and canonical report bytes untouched.
 	Cancel *atomic.Bool
 	// Obs attaches observability sinks (tracer, metrics, structured log).
 	// nil falls back to the process default (set by the CLIs); when that is
@@ -121,9 +91,8 @@ type Options struct {
 type Schedule int
 
 const (
-	// ScheduleStatic is the default: fresh mode fans out via dynamic
-	// atomic-counter assignment (ForEachWorker), incremental mode uses
-	// index-modulo static shards (StaticShards).
+	// ScheduleStatic is the default: fresh checks fan out via dynamic
+	// atomic-counter assignment (ForEachWorker).
 	ScheduleStatic Schedule = iota
 	// ScheduleSteal routes checks through the work-stealing scheduler:
 	// per-worker queues seeded largest-first from the static shard split;
@@ -154,57 +123,26 @@ func ParseSchedule(s string) (Schedule, error) {
 // error naming the conflict, instead of one mode silently winning. Run and
 // RunWithEnv call it, so every CLI inherits the same rejections.
 func (o Options) Validate() error {
-	if o.Portfolio < 0 {
-		return fmt.Errorf("verify: portfolio must be >= 0, got %d", o.Portfolio)
-	}
 	if o.Stream {
-		if o.Incremental {
-			return fmt.Errorf("verify: -stream and -incremental are incompatible (streaming releases terms the incremental engine's shared solvers still reference)")
-		}
 		if o.Parallel > 1 {
 			return fmt.Errorf("verify: -stream is incompatible with -parallel %d (streaming releases terms from the arena, which a frozen shared context cannot do; use -parallel 1)", o.Parallel)
-		}
-		if o.Portfolio > 1 {
-			return fmt.Errorf("verify: -stream is incompatible with -portfolio %d (racers share the term DAG, which streaming releases mid-run)", o.Portfolio)
 		}
 		if o.Schedule == ScheduleSteal {
 			return fmt.Errorf("verify: -stream is incompatible with -schedule steal (streaming is single-worker by construction)")
 		}
 	}
-	if o.Schedule == ScheduleSteal {
-		if o.Incremental {
-			return fmt.Errorf("verify: -schedule steal is incompatible with -incremental (incremental shards rely on a static, reproducible assertion sequence per shared solver; stealing has its own per-worker solver reuse)")
-		}
-		if !o.FindAll {
-			return fmt.Errorf("verify: -schedule steal requires find-all mode (-all); find-first is a single query")
-		}
-	}
-	if o.Portfolio > 1 {
-		if !o.FindAll {
-			return fmt.Errorf("verify: -portfolio %d requires find-all mode (-all); find-first is a single query", o.Portfolio)
-		}
-		if o.Incremental {
-			return fmt.Errorf("verify: -portfolio is incompatible with -incremental (racing a shard's shared solver would make its accumulated state schedule-dependent; use -schedule steal for solver reuse with racing)")
-		}
-	}
-	if o.Cancel != nil && o.Portfolio > 1 {
-		return fmt.Errorf("verify: a cancellation token is incompatible with -portfolio %d (racers install their own shared token, which would silently replace it)", o.Portfolio)
+	if o.Schedule == ScheduleSteal && !o.FindAll {
+		return fmt.Errorf("verify: -schedule steal requires find-all mode (-all); find-first is a single query")
 	}
 	if o.Session {
 		if !o.FindAll {
 			return fmt.Errorf("verify: -churn requires find-all mode (-all); the session engine replays and rechecks assertions one by one")
-		}
-		if o.Incremental {
-			return fmt.Errorf("verify: -churn is incompatible with -incremental (the session engine is its own incremental driver: one warm shared solver across deltas)")
 		}
 		if o.Stream {
 			return fmt.Errorf("verify: -churn is incompatible with -stream (streaming releases terms the session's caches and warm solver still reference)")
 		}
 		if o.Schedule == ScheduleSteal {
 			return fmt.Errorf("verify: -churn is incompatible with -schedule steal (the session engine is serial by construction)")
-		}
-		if o.Portfolio > 1 {
-			return fmt.Errorf("verify: -churn is incompatible with -portfolio %d (racers need a frozen context; the session's context must stay mutable to re-encode deltas)", o.Portfolio)
 		}
 		if o.Parallel > 1 {
 			return fmt.Errorf("verify: -churn is incompatible with -parallel %d (a frozen shared context cannot re-encode deltas; use -parallel 1)", o.Parallel)
@@ -304,26 +242,17 @@ type Stats struct {
 	// Workers is the effective worker count of the solving phase.
 	Workers int
 
-	// Incremental records whether the run shared solvers across checks;
-	// Shards is the number of per-worker incremental solvers it used
-	// (0 in fresh mode).
-	Incremental bool
-	Shards      int
-	// SimplifyRewrites counts DAG nodes changed by the simplification
-	// pass (0 when the pass is off).
-	SimplifyRewrites int64
-	// PrefixClauses is the Tseitin cost of each shard's first check
-	// summed over shards — the "blast once" part of the run, dominated by
-	// the shared VC prefix. Later checks pay only their per-assertion
-	// delta.
+	// PrefixClauses is the Tseitin cost of each steal owner's largest
+	// check summed over owners — the "blast once" part of the run,
+	// dominated by the shared VC prefix. Later owned checks pay only their
+	// per-assertion delta. Zero outside the steal scheduler.
 	PrefixClauses int64
 
 	// SAT-core search totals, summed across the same solver instances as
 	// CNFClauses/SATVars. In fresh mode these are deterministic for a
 	// given formula at every worker count (every check runs a
-	// deterministic fresh solver); in incremental mode they depend on the
-	// shard composition and are only deterministic for a fixed worker
-	// count.
+	// deterministic fresh solver); under the steal scheduler and in
+	// sessions they depend on which checks shared a solver.
 	Conflicts     int64
 	Decisions     int64
 	Propagations  int64
@@ -332,17 +261,12 @@ type Stats struct {
 	LearntLits    int64
 	LearntDeleted int64
 	// TseitinClauses counts CNF clauses emitted by the blasters (>=
-	// retained CNFClauses); the headline metric incremental mode shrinks.
-	// BlastHits counts per-term blast-cache hits — the reuse incremental
-	// mode buys.
+	// retained CNFClauses); the headline metric shared solvers shrink.
+	// BlastHits counts per-term blast-cache hits — the reuse shared
+	// solvers buy.
 	TseitinClauses int64
 	BlastHits      int64
 
-	// CNF preprocessing totals, summed across the same solver instances
-	// (all zero with Options.Preprocess off).
-	ElimVars            int64
-	SubsumedClauses     int64
-	StrengthenedClauses int64
 	// SliceConjuncts and SliceDropped count the VC conjuncts seen and
 	// removed by cone-of-influence slicing (zero with Options.Slice off).
 	SliceConjuncts int64
@@ -360,14 +284,6 @@ type Stats struct {
 	// than their static owner (zero with static scheduling).
 	Schedule string
 	Steals   int64
-	// Portfolio is the racer count per check (0 with racing off).
-	// RacesWon counts raced checks some racer decided; RacesLost counts
-	// the racers beaten or cancelled in those races; CancelledCPU totals
-	// the CPU cancelled racers burned before the token stopped them.
-	Portfolio    int
-	RacesWon     int64
-	RacesLost    int64
-	CancelledCPU time.Duration
 
 	// DeltaReuse and DeltaRecheck are the session engine's per-Apply
 	// split: assertions whose verdict was replayed from the session cache
@@ -417,9 +333,6 @@ func (st *Stats) addSolver(ss smt.SolverStats) {
 	st.LearntDeleted += ss.LearntDeleted
 	st.TseitinClauses += ss.TseitinClauses
 	st.BlastHits += ss.BlastHits
-	st.ElimVars += ss.ElimVars
-	st.SubsumedClauses += ss.Subsumed
-	st.StrengthenedClauses += ss.Strengthened
 }
 
 // statsDelta is the work between two snapshots of one (shared) solver.
@@ -437,9 +350,6 @@ func statsDelta(cur, prev smt.SolverStats) smt.SolverStats {
 		LearntClauses:  cur.LearntClauses - prev.LearntClauses,
 		LearntLits:     cur.LearntLits - prev.LearntLits,
 		LearntDeleted:  cur.LearntDeleted - prev.LearntDeleted,
-		ElimVars:       cur.ElimVars - prev.ElimVars,
-		Subsumed:       cur.Subsumed - prev.Subsumed,
-		Strengthened:   cur.Strengthened - prev.Strengthened,
 		TseitinClauses: cur.TseitinClauses - prev.TseitinClauses,
 		BlastHits:      cur.BlastHits - prev.BlastHits,
 		BlastMisses:    cur.BlastMisses - prev.BlastMisses,
@@ -464,9 +374,6 @@ func addStats(a, b smt.SolverStats) smt.SolverStats {
 		LearntClauses:  a.LearntClauses + b.LearntClauses,
 		LearntLits:     a.LearntLits + b.LearntLits,
 		LearntDeleted:  a.LearntDeleted + b.LearntDeleted,
-		ElimVars:       a.ElimVars + b.ElimVars,
-		Subsumed:       a.Subsumed + b.Subsumed,
-		Strengthened:   a.Strengthened + b.Strengthened,
 		TseitinClauses: a.TseitinClauses + b.TseitinClauses,
 		BlastHits:      a.BlastHits + b.BlastHits,
 		BlastMisses:    a.BlastMisses + b.BlastMisses,
@@ -490,9 +397,6 @@ func countSolver(o *obs.Obs, ss smt.SolverStats, status smt.Status) {
 	m.Counter(obs.CtrSATLearntClause).Add(ss.LearntClauses)
 	m.Counter(obs.CtrSATLearntLits).Add(ss.LearntLits)
 	m.Counter(obs.CtrSATLearntDeleted).Add(ss.LearntDeleted)
-	m.Counter(obs.CtrSATElimVars).Add(ss.ElimVars)
-	m.Counter(obs.CtrSATSubsumed).Add(ss.Subsumed)
-	m.Counter(obs.CtrSATStrengthened).Add(ss.Strengthened)
 	m.Counter(obs.CtrSMTTseitinClauses).Add(ss.TseitinClauses)
 	m.Counter(obs.CtrSMTBlastHits).Add(ss.BlastHits)
 	m.Counter(obs.CtrSMTBlastMisses).Add(ss.BlastMisses)
@@ -605,12 +509,6 @@ func RunWithEnv(ctx *smt.Ctx, env *encode.Env, spec *lpi.Spec, opts Options) (*R
 		if rep.Stats.Schedule == "steal" {
 			o.Metrics.Counter(obs.CtrVerifySteals).Add(rep.Stats.Steals)
 		}
-		if rep.Stats.Portfolio > 1 {
-			o.Metrics.Gauge(obs.GaugeVerifyPortfolio).Set(int64(rep.Stats.Portfolio))
-			o.Metrics.Counter(obs.CtrVerifyRacesWon).Add(rep.Stats.RacesWon)
-			o.Metrics.Counter(obs.CtrVerifyRacesLost).Add(rep.Stats.RacesLost)
-			o.Metrics.Counter(obs.CtrVerifyCancelledUS).Add(rep.Stats.CancelledCPU.Microseconds())
-		}
 	}
 	return rep, err
 }
@@ -631,9 +529,6 @@ func (rep *Report) check(opts Options) error {
 	if !opts.FindAll {
 		return rep.checkFirst(opts)
 	}
-	if opts.Incremental {
-		return rep.checkAllIncremental(opts)
-	}
 	if opts.Stream {
 		return rep.checkAllStream(opts)
 	}
@@ -643,24 +538,31 @@ func (rep *Report) check(opts Options) error {
 	return rep.checkAll(opts)
 }
 
+// newSolver returns a fresh checking solver over ctx with the run's
+// conflict budget and cancellation token installed. Every engine creates
+// its checking solvers here, so Budget and Cancel reach all of them.
+func (o Options) newSolver(ctx *smt.Ctx) *smt.Solver {
+	s := smt.NewSolver(ctx)
+	if o.Budget > 0 {
+		s.SetBudget(o.Budget)
+	}
+	if o.Cancel != nil {
+		s.SetCancel(o.Cancel)
+	}
+	return s
+}
+
 // checkOne is the find-all unit of work: check one (possibly sliced)
-// condition with a deterministic fresh solver. A Sat under preprocessing
-// or a transformed condition is confirmed on the ORIGINAL condition by a
-// plain fresh solver, so verdicts and counterexamples match the baseline
+// condition with a deterministic fresh solver. A Sat on a sliced
+// condition is confirmed on the ORIGINAL condition by a second fresh
+// solver, so verdicts and counterexamples match the baseline
 // byte-for-byte: a sliced Sat with a full-condition Unsat means the
 // dropped (variable-disjoint) remainder was unsatisfiable on its own —
 // the assertion holds, exactly the unsliced verdict. The re-check's cost
 // is folded into the assertion's stats.
 func (rep *Report) checkOne(opts Options, v *gcl.Violation, checkCond *smt.Term, worker int) (st smt.Status, model *smt.Model, ss smt.SolverStats, cpu time.Duration) {
 	o := opts.Observer()
-	solver := smt.NewSolver(rep.Ctx)
-	if opts.Budget > 0 {
-		solver.SetBudget(opts.Budget)
-	}
-	if opts.Preprocess {
-		solver.SetPreprocess(true)
-	}
-	opts.installCancel(solver)
+	solver := opts.newSolver(rep.Ctx)
 	installProgress(o, solver, v.Label, worker)
 	t0 := time.Now()
 	st = solver.Check(checkCond)
@@ -669,12 +571,8 @@ func (rep *Report) checkOne(opts Options, v *gcl.Violation, checkCond *smt.Term,
 	if st != smt.Sat {
 		return
 	}
-	if opts.Preprocess || checkCond != v.Cond {
-		s2 := smt.NewSolver(rep.Ctx)
-		if opts.Budget > 0 {
-			s2.SetBudget(opts.Budget)
-		}
-		opts.installCancel(s2)
+	if checkCond != v.Cond {
+		s2 := opts.newSolver(rep.Ctx)
 		installProgress(o, s2, v.Label, worker)
 		t1 := time.Now()
 		st2 := s2.Check(v.Cond)
@@ -694,19 +592,9 @@ func (rep *Report) checkOne(opts Options, v *gcl.Violation, checkCond *smt.Term,
 	return
 }
 
-// installCancel installs the run-wide cancellation token on a checking
-// solver (a no-op without one). Solver-creation sites call it right after
-// the budget install, so a fired deadline stops the transformed check and
-// the canonicalizing re-solve alike.
-func (o Options) installCancel(s *smt.Solver) {
-	if o.Cancel != nil {
-		s.SetCancel(o.Cancel)
-	}
-}
-
-// checkOneShared is the shared-solver unit of work the incremental and
-// steal engines use for a worker's own checks: check one (possibly
-// transformed) condition on a long-lived solver via an activation literal,
+// checkOneShared is the shared-solver unit of work of the steal
+// scheduler's owners and of the session engine: check one (possibly
+// sliced) condition on a long-lived solver via an activation literal,
 // then make the verdict canonical exactly as fresh mode would — a Sat is
 // re-solved on the ORIGINAL condition by a deterministic fresh solver, a
 // sliced Sat whose full condition is Unsat becomes Unsat (the dropped,
@@ -714,7 +602,7 @@ func (o Options) installCancel(s *smt.Solver) {
 // contradicting re-check surfaces as Unknown rather than fabricating a
 // model. prev is the shared solver's rolling stats snapshot; ss is this
 // check's delta including any re-check cost, while sharedTseitin is the
-// delta's Tseitin clauses alone (the callers' shard-prefix accounting must
+// delta's Tseitin clauses alone (the steal owners' prefix accounting must
 // not see the fresh re-solve's blast).
 func (rep *Report) checkOneShared(opts Options, v *gcl.Violation, checkCond *smt.Term, worker int, solver *smt.Solver, prev *smt.SolverStats) (st smt.Status, model *smt.Model, ss smt.SolverStats, cpu time.Duration, sharedTseitin int64) {
 	o := opts.Observer()
@@ -730,11 +618,7 @@ func (rep *Report) checkOneShared(opts Options, v *gcl.Violation, checkCond *smt
 	if st != smt.Sat {
 		return
 	}
-	s2 := smt.NewSolver(rep.Ctx)
-	if opts.Budget > 0 {
-		s2.SetBudget(opts.Budget)
-	}
-	opts.installCancel(s2)
+	s2 := opts.newSolver(rep.Ctx)
 	installProgress(o, s2, v.Label, worker)
 	t1 := time.Now()
 	st2 := s2.Check(v.Cond)
@@ -761,26 +645,6 @@ type checkOut struct {
 	model  *smt.Model
 	ss     smt.SolverStats
 	cpu    time.Duration
-	// Race tallies (zero with racing off); see raceOutcome.
-	won, lost int64
-	waste     time.Duration
-}
-
-// fill copies a race outcome into the slot.
-func (out *checkOut) fill(rc raceOutcome) {
-	out.status, out.model, out.ss, out.cpu = rc.status, rc.model, rc.ss, rc.cpu
-	out.won, out.lost, out.waste = rc.won, rc.lost, rc.waste
-}
-
-// foldRace folds a consumed slot's race and steal tallies into the run
-// totals. Like PerAssertion, the totals cover the consumed prefix.
-func (st *Stats) foldRace(out *checkOut) {
-	st.RacesWon += out.won
-	st.RacesLost += out.lost
-	st.CancelledCPU += out.waste
-	if out.stolen {
-		st.Steals++
-	}
 }
 
 // checkFirst runs the §8.1 find-first mode: one query over the disjunction
@@ -788,13 +652,7 @@ func (st *Stats) foldRace(out *checkOut) {
 func (rep *Report) checkFirst(opts Options) error {
 	ctx := rep.Ctx
 	o := opts.Observer()
-	solver := smt.NewSolver(ctx)
-	if opts.Budget > 0 {
-		solver.SetBudget(opts.Budget)
-	}
-	if opts.Preprocess {
-		solver.SetPreprocess(true)
-	}
+	solver := opts.newSolver(ctx)
 	rep.Stats.Workers = 1
 
 	disj := ctx.False()
@@ -823,33 +681,6 @@ func (rep *Report) checkFirst(opts Options) error {
 	}
 	m := solver.Model()
 	solver.ModelCollect(m, disj)
-	if opts.Preprocess {
-		// Preprocessing reconstructs models for eliminated variables, which
-		// can yield a different (equally valid) assignment than the plain
-		// solver — and the model picks which assertion find-first reports.
-		// Re-solve the disjunction with a plain fresh solver and use its
-		// deterministic model so reports match the unpreprocessed baseline.
-		s2 := smt.NewSolver(ctx)
-		if opts.Budget > 0 {
-			s2.SetBudget(opts.Budget)
-		}
-		installProgress(o, s2, "all-assertions", 0)
-		t1 := time.Now()
-		st2 := s2.Check(disj)
-		d1 := time.Since(t1)
-		rep.Stats.SolveCPU += d1
-		ss2 := s2.SolverStats()
-		rep.Stats.addSolver(ss2)
-		rep.recordCheck(o, "all-assertions", 0, ss2, st2, d1)
-		if st2 == smt.Unknown {
-			return ErrBudget
-		}
-		if st2 != smt.Sat {
-			return fmt.Errorf("verify: plain re-check contradicts preprocessed sat verdict")
-		}
-		m = s2.Model()
-		s2.ModelCollect(m, disj)
-	}
 	// Identify the first assertion the model violates.
 	for _, v := range rep.Result.Violations {
 		if m.Bool(v.Cond) {
@@ -863,10 +694,7 @@ func (rep *Report) checkFirst(opts Options) error {
 	// rather than emitting an unusable "unknown" violation.
 	assignment := modelAssignment(ctx, m, disj)
 	for _, v := range rep.Result.Violations {
-		s2 := smt.NewSolver(ctx)
-		if opts.Budget > 0 {
-			s2.SetBudget(opts.Budget)
-		}
+		s2 := opts.newSolver(ctx)
 		installProgress(o, s2, v.Label, 0)
 		t1 := time.Now()
 		st2 := s2.Check(ctx.And(assignment, v.Cond))
@@ -916,9 +744,6 @@ func (rep *Report) checkAll(opts Options) error {
 		workers = 1
 	}
 	rep.Stats.Workers = workers
-	if opts.Portfolio > 1 {
-		rep.Stats.Portfolio = opts.Portfolio
-	}
 	o := opts.Observer()
 
 	// Cone-of-influence slices are computed serially before the context may
@@ -942,24 +767,16 @@ func (rep *Report) checkAll(opts Options) error {
 		v := conds[i]
 		endSpan := o.Span(worker, "solve:"+v.Label)
 		out := &outs[i]
-		if opts.Portfolio > 1 {
-			out.fill(rep.raceOne(opts, v, checkConds[i], worker, nil))
-		} else {
-			out.status, out.model, out.ss, out.cpu = rep.checkOne(opts, v, checkConds[i], worker)
-		}
+		out.status, out.model, out.ss, out.cpu = rep.checkOne(opts, v, checkConds[i], worker)
 		endSpan()
 		rep.recordCheck(o, v.Label, worker, out.ss, out.status, out.cpu)
 		out.done = true
 	}
 
-	if workers > 1 || opts.Portfolio > 1 {
+	if workers > 1 {
 		// The context becomes shared read-only state; blasting and model
 		// extraction never intern, and any stray term creation serializes.
-		// Portfolio racing needs this even on one worker: the racers are
-		// concurrent goroutines over the same DAG.
 		rep.Ctx.Freeze()
-	}
-	if workers > 1 {
 		if o != nil && o.Tracer != nil {
 			o.Tracer.NameThread(0, "main")
 			for w := 1; w <= workers; w++ {
@@ -995,7 +812,6 @@ func (rep *Report) checkAll(opts Options) error {
 		out := &outs[i]
 		rep.Stats.SolveCPU += out.cpu
 		rep.Stats.addSolver(out.ss)
-		rep.Stats.foldRace(out)
 		rep.Stats.PerAssertion = append(rep.Stats.PerAssertion, AssertionCost{
 			Label:        v.Label,
 			Status:       statusString(out.status),
@@ -1029,12 +845,10 @@ func (rep *Report) checkAll(opts Options) error {
 // StaticShards partitions indices 0..n-1 into `shards` slices by index
 // modulo: shard s owns s, s+shards, s+2*shards, ... in ascending order.
 // Unlike the dynamic scheduling of ForEachWorker, the assignment depends
-// only on (shards, n) — the property incremental solving needs, because
-// each shard accumulates state in a shared solver and the assertion
-// sequence a solver sees must be reproducible. With n <= 0 it returns no
-// shards at all: an empty shard would still make its owner spawn a solver
-// (and blast the shared prefix) for zero checks, so callers must get
-// nothing to iterate instead.
+// only on (shards, n), so the steal scheduler's initial per-worker queues
+// are a pure function of the run. With n <= 0 it returns no shards at
+// all: an empty shard would still give its owner a queue to drain for
+// zero checks, so callers must get nothing to iterate instead.
 func StaticShards(shards, n int) [][]int {
 	if n <= 0 {
 		return nil
@@ -1050,184 +864,6 @@ func StaticShards(shards, n int) [][]int {
 		out[i%shards] = append(out[i%shards], i)
 	}
 	return out
-}
-
-// checkAllIncremental is find-all with shared solvers ("blast once, check
-// many"): assertions are statically sharded by index across workers, each
-// shard owns one incremental solver, and every assertion is checked via an
-// activation literal (Solver.Indicator + CheckLits) so the blasted CNF of
-// the shared VC prefix and all learned clauses persist across the shard's
-// checks. With Simplify set, the algebraic simplification pass rewrites
-// all conditions over the shared DAG first.
-//
-// Determinism: sat/unsat verdicts are semantic, so they match fresh mode
-// and are identical at every worker count. Counterexample models from a
-// shared solver would depend on the shard's accumulated state, so each
-// violated assertion is re-solved on its ORIGINAL condition by a
-// deterministic fresh solver — the exact procedure fresh mode uses — which
-// makes violations and counterexamples byte-identical to fresh mode.
-// Budget-exhaustion (Unknown) verdicts are the one exception: learned
-// clauses change how far a budget reaches, so they can differ between
-// modes and worker counts (documented in DESIGN.md).
-func (rep *Report) checkAllIncremental(opts Options) error {
-	conds := rep.Result.Violations
-	n := len(conds)
-	workers := opts.Workers()
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	rep.Stats.Workers = workers
-	rep.Stats.Incremental = true
-	rep.Stats.Shards = workers
-	o := opts.Observer()
-
-	// Phase 1 (serial, before any sharing): slice, then simplify, the
-	// conditions over the common hash-consed DAG. Done once; every shard
-	// blasts the smaller forms.
-	checkConds := make([]*smt.Term, n)
-	for i, v := range conds {
-		checkConds[i] = v.Cond
-	}
-	if opts.Slice {
-		rep.sliceConds(opts, conds, checkConds)
-	}
-	if opts.Simplify {
-		endSimp := o.Phase(0, "simplify")
-		simp := smt.NewSimplifier(rep.Ctx)
-		for i, c := range checkConds {
-			checkConds[i] = simp.Simplify(c)
-		}
-		endSimp()
-		rep.Stats.SimplifyRewrites = simp.Rewrites
-		if o != nil && o.Metrics != nil {
-			o.Metrics.Counter(obs.CtrSMTSimplifyRewrites).Add(simp.Rewrites)
-		}
-		o.Event("simplify", map[string]any{"rewrites": simp.Rewrites})
-	}
-
-	outs := make([]checkOut, n)
-	prefixClauses := make([]int64, workers) // dominating one-check Tseitin delta per shard
-
-	// limit is the lowest assertion index seen to exhaust the budget;
-	// shards stop at it (their remaining indices are all larger).
-	limit := int64(n)
-
-	// runShard walks the shard's indices in ascending order on one shared
-	// solver. worker is the tracer tid (0 for the serial inline path).
-	runShard := func(worker, shard int, indices []int) {
-		solver := smt.NewSolver(rep.Ctx)
-		if opts.Budget > 0 {
-			solver.SetBudget(opts.Budget)
-		}
-		if opts.Preprocess {
-			solver.SetPreprocess(true)
-		}
-		var prev smt.SolverStats
-		for _, i := range indices {
-			if int64(i) >= atomic.LoadInt64(&limit) {
-				break
-			}
-			v := conds[i]
-			out := &outs[i]
-			endSpan := o.Span(worker, "solve:"+v.Label)
-			var sharedTseitin int64
-			out.status, out.model, out.ss, out.cpu, sharedTseitin =
-				rep.checkOneShared(opts, v, checkConds[i], worker, solver, &prev)
-			if sharedTseitin > prefixClauses[shard] {
-				// The check that first touches the real VC blasts the whole
-				// shared prefix; later checks reuse its CNF. The largest
-				// single-check delta is that one-time cost (a plain "first
-				// check" would under-report when an early condition
-				// simplifies to a constant and blasts nothing).
-				prefixClauses[shard] = sharedTseitin
-			}
-			endSpan()
-			rep.recordCheck(o, v.Label, worker, out.ss, out.status, out.cpu)
-			if out.status == smt.Unknown {
-				for {
-					cur := atomic.LoadInt64(&limit)
-					if int64(i) >= cur || atomic.CompareAndSwapInt64(&limit, cur, int64(i)) {
-						break
-					}
-				}
-			}
-		}
-	}
-
-	shards := StaticShards(workers, n)
-	if workers > 1 {
-		if o != nil && o.Tracer != nil {
-			o.Tracer.NameThread(0, "main")
-			for w := 1; w <= workers; w++ {
-				o.Tracer.NameThread(w, fmt.Sprintf("worker-%d", w))
-			}
-		}
-		// The context becomes shared read-only state (simplification above
-		// already happened); blasting and model extraction never intern,
-		// and any stray term creation serializes.
-		rep.Ctx.Freeze()
-		var wg sync.WaitGroup
-		for s := range shards {
-			wg.Add(1)
-			go func(shard int) {
-				defer wg.Done()
-				runShard(shard+1, shard, shards[shard])
-			}(s)
-		}
-		wg.Wait()
-	} else if len(shards) > 0 {
-		runShard(0, 0, shards[0])
-	}
-	for _, pc := range prefixClauses {
-		rep.Stats.PrefixClauses += pc
-	}
-	if o != nil && o.Metrics != nil {
-		o.Metrics.Gauge(obs.GaugeVerifyShards).Set(int64(workers))
-	}
-
-	// Consume in assertion order; stop at the first budget-exhausted
-	// check. Every index below the final limit was processed by its
-	// owning shard (a shard only skips indices at or beyond the limit),
-	// so the consumed prefix is complete.
-	var err error
-	for i, v := range conds {
-		if int64(i) > atomic.LoadInt64(&limit) {
-			break
-		}
-		out := &outs[i]
-		rep.Stats.SolveCPU += out.cpu
-		rep.Stats.addSolver(out.ss)
-		rep.Stats.PerAssertion = append(rep.Stats.PerAssertion, AssertionCost{
-			Label:        v.Label,
-			Status:       statusString(out.status),
-			SolveTime:    out.cpu,
-			Conflicts:    out.ss.Conflicts,
-			Decisions:    out.ss.Decisions,
-			Propagations: out.ss.Propagations,
-			Restarts:     out.ss.Restarts,
-			CNFClauses:   out.ss.Clauses,
-			SATVars:      out.ss.SATVars,
-		})
-		o.Event("assertion", map[string]any{
-			"label": v.Label, "status": statusString(out.status),
-			"solve_us": out.cpu.Microseconds(), "conflicts": out.ss.Conflicts,
-			"clauses": out.ss.Clauses, "incremental": true,
-		})
-		if out.status == smt.Unknown {
-			o.Event("budget_exhausted", map[string]any{
-				"label": v.Label, "budget": opts.Budget,
-			})
-			err = ErrBudget
-			break
-		}
-		if out.status == smt.Sat {
-			rep.Violations = append(rep.Violations, rep.makeViolation(v, out.model))
-		}
-	}
-	return err
 }
 
 func (rep *Report) makeViolation(v *gcl.Violation, m *smt.Model) *Violation {
@@ -1348,15 +984,6 @@ func (rep *Report) String() string {
 	fmt.Fprintf(&b, "sat:   %d conflicts, %d decisions, %d propagations, %d restarts, %d learnt clauses (%d literals)\n",
 		rep.Stats.Conflicts, rep.Stats.Decisions, rep.Stats.Propagations,
 		rep.Stats.Restarts, rep.Stats.LearntClauses, rep.Stats.LearntLits)
-	if rep.Stats.Incremental {
-		fmt.Fprintf(&b, "incr:  %d shards, %d tseitin clauses emitted (%d in shard prefixes), %d blast-cache hits, %d simplifier rewrites, %d learnt deleted\n",
-			rep.Stats.Shards, rep.Stats.TseitinClauses, rep.Stats.PrefixClauses,
-			rep.Stats.BlastHits, rep.Stats.SimplifyRewrites, rep.Stats.LearntDeleted)
-	}
-	if rep.Stats.ElimVars+rep.Stats.SubsumedClauses+rep.Stats.StrengthenedClauses > 0 {
-		fmt.Fprintf(&b, "prep:  %d vars eliminated, %d clauses subsumed, %d strengthened\n",
-			rep.Stats.ElimVars, rep.Stats.SubsumedClauses, rep.Stats.StrengthenedClauses)
-	}
 	if rep.Stats.SliceConjuncts > 0 {
 		fmt.Fprintf(&b, "slice: %d of %d VC conjuncts dropped\n",
 			rep.Stats.SliceDropped, rep.Stats.SliceConjuncts)
@@ -1369,15 +996,9 @@ func (rep *Report) String() string {
 		fmt.Fprintf(&b, "delta: %d verdicts replayed, %d rechecked\n",
 			rep.Stats.DeltaReuse, rep.Stats.DeltaRecheck)
 	}
-	if rep.Stats.Schedule != "" || rep.Stats.Portfolio > 1 {
-		sched := rep.Stats.Schedule
-		if sched == "" {
-			sched = "static"
-		}
-		fmt.Fprintf(&b, "sched: %s scheduling, %d steals, portfolio %d, %d races won / %d racers beaten, %v cancelled cpu\n",
-			sched, rep.Stats.Steals, rep.Stats.Portfolio,
-			rep.Stats.RacesWon, rep.Stats.RacesLost,
-			rep.Stats.CancelledCPU.Round(time.Millisecond))
+	if rep.Stats.Schedule != "" {
+		fmt.Fprintf(&b, "sched: %s scheduling, %d steals\n",
+			rep.Stats.Schedule, rep.Stats.Steals)
 	}
 	return b.String()
 }
@@ -1420,23 +1041,15 @@ type JSONStats struct {
 	LearntClauses int64 `json:"learnt_clauses"`
 	LearntLits    int64 `json:"learnt_literals"`
 
-	// Incremental-mode extras (absent in fresh mode and in canonical
-	// reports).
-	Incremental      bool  `json:"incremental,omitempty"`
-	Shards           int   `json:"shards,omitempty"`
-	SimplifyRewrites int64 `json:"simplify_rewrites,omitempty"`
-	PrefixClauses    int64 `json:"prefix_clauses,omitempty"`
-	TseitinClauses   int64 `json:"tseitin_clauses,omitempty"`
-	BlastHits        int64 `json:"blast_cache_hits,omitempty"`
-	LearntDeleted    int64 `json:"learnt_deleted,omitempty"`
+	// Blast and learnt-database extras (absent in canonical reports).
+	PrefixClauses  int64 `json:"prefix_clauses,omitempty"`
+	TseitinClauses int64 `json:"tseitin_clauses,omitempty"`
+	BlastHits      int64 `json:"blast_cache_hits,omitempty"`
+	LearntDeleted  int64 `json:"learnt_deleted,omitempty"`
 
-	// Preprocessing / slicing extras (absent with the passes off and in
-	// canonical reports).
-	ElimVars            int64 `json:"elim_vars,omitempty"`
-	SubsumedClauses     int64 `json:"subsumed_clauses,omitempty"`
-	StrengthenedClauses int64 `json:"strengthened_clauses,omitempty"`
-	SliceConjuncts      int64 `json:"slice_conjuncts,omitempty"`
-	SliceDropped        int64 `json:"slice_dropped,omitempty"`
+	// Slicing extras (absent with the pass off and in canonical reports).
+	SliceConjuncts int64 `json:"slice_conjuncts,omitempty"`
+	SliceDropped   int64 `json:"slice_dropped,omitempty"`
 
 	// Streaming-mode extras (absent with the mode off and in canonical
 	// reports).
@@ -1444,14 +1057,10 @@ type JSONStats struct {
 	StreamReleases int64 `json:"stream_releases,omitempty"`
 	ReleasedTerms  int64 `json:"released_terms,omitempty"`
 
-	// Scheduler / portfolio extras (absent with static scheduling and
-	// racing off, and in canonical reports).
-	Schedule       string `json:"schedule,omitempty"`
-	Steals         int64  `json:"steals,omitempty"`
-	Portfolio      int    `json:"portfolio,omitempty"`
-	RacesWon       int64  `json:"races_won,omitempty"`
-	RacesLost      int64  `json:"races_lost,omitempty"`
-	CancelledCPUMS int64  `json:"cancelled_cpu_ms,omitempty"`
+	// Scheduler extras (absent with static scheduling and in canonical
+	// reports).
+	Schedule string `json:"schedule,omitempty"`
+	Steals   int64  `json:"steals,omitempty"`
 
 	// Session-engine extras (absent outside Session.Apply reports and in
 	// canonical reports).
@@ -1506,30 +1115,20 @@ func (rep *Report) JSON() ([]byte, error) {
 			LearntClauses: rep.Stats.LearntClauses,
 			LearntLits:    rep.Stats.LearntLits,
 
-			Incremental:      rep.Stats.Incremental,
-			Shards:           rep.Stats.Shards,
-			SimplifyRewrites: rep.Stats.SimplifyRewrites,
-			PrefixClauses:    rep.Stats.PrefixClauses,
-			TseitinClauses:   rep.Stats.TseitinClauses,
-			BlastHits:        rep.Stats.BlastHits,
-			LearntDeleted:    rep.Stats.LearntDeleted,
+			PrefixClauses:  rep.Stats.PrefixClauses,
+			TseitinClauses: rep.Stats.TseitinClauses,
+			BlastHits:      rep.Stats.BlastHits,
+			LearntDeleted:  rep.Stats.LearntDeleted,
 
-			ElimVars:            rep.Stats.ElimVars,
-			SubsumedClauses:     rep.Stats.SubsumedClauses,
-			StrengthenedClauses: rep.Stats.StrengthenedClauses,
-			SliceConjuncts:      rep.Stats.SliceConjuncts,
-			SliceDropped:        rep.Stats.SliceDropped,
+			SliceConjuncts: rep.Stats.SliceConjuncts,
+			SliceDropped:   rep.Stats.SliceDropped,
 
 			Stream:         rep.Stats.Stream,
 			StreamReleases: rep.Stats.StreamReleases,
 			ReleasedTerms:  rep.Stats.ReleasedTerms,
 
-			Schedule:       rep.Stats.Schedule,
-			Steals:         rep.Stats.Steals,
-			Portfolio:      rep.Stats.Portfolio,
-			RacesWon:       rep.Stats.RacesWon,
-			RacesLost:      rep.Stats.RacesLost,
-			CancelledCPUMS: rep.Stats.CancelledCPU.Milliseconds(),
+			Schedule: rep.Stats.Schedule,
+			Steals:   rep.Stats.Steals,
 
 			DeltaReuse:   rep.Stats.DeltaReuse,
 			DeltaRecheck: rep.Stats.DeltaRecheck,
@@ -1574,12 +1173,12 @@ func (rep *Report) JSON() ([]byte, error) {
 // — verdict, violations, counterexamples, assertion labels and statuses,
 // GCL size — is the *semantic* outcome of verification, which is
 // deterministic across runs, across Parallel settings, with or without
-// observability sinks, and (the incremental-engine contract) identical
-// between fresh-solver and incremental modes: two canonical reports of
-// the same verification problem compare byte-for-byte. Cost counters are
-// deliberately excluded because solver sharing changes them — that is the
-// optimization, not a behavioural difference; the raw JSON() report keeps
-// them all.
+// observability sinks, and (the shared-solver contract) identical between
+// the fresh engine, the steal scheduler and sessions: two canonical
+// reports of the same verification problem compare byte-for-byte. Cost
+// counters are deliberately excluded because solver sharing changes them
+// — that is the optimization, not a behavioural difference; the raw
+// JSON() report keeps them all.
 func (rep *Report) CanonicalJSON() ([]byte, error) {
 	canon := *rep
 	canon.Stats.EncodeTime = 0
@@ -1597,13 +1196,7 @@ func (rep *Report) CanonicalJSON() ([]byte, error) {
 	canon.Stats.LearntDeleted = 0
 	canon.Stats.TseitinClauses = 0
 	canon.Stats.BlastHits = 0
-	canon.Stats.Incremental = false
-	canon.Stats.Shards = 0
-	canon.Stats.SimplifyRewrites = 0
 	canon.Stats.PrefixClauses = 0
-	canon.Stats.ElimVars = 0
-	canon.Stats.SubsumedClauses = 0
-	canon.Stats.StrengthenedClauses = 0
 	canon.Stats.SliceConjuncts = 0
 	canon.Stats.SliceDropped = 0
 	canon.Stats.Stream = false
@@ -1611,10 +1204,6 @@ func (rep *Report) CanonicalJSON() ([]byte, error) {
 	canon.Stats.ReleasedTerms = 0
 	canon.Stats.Schedule = ""
 	canon.Stats.Steals = 0
-	canon.Stats.Portfolio = 0
-	canon.Stats.RacesWon = 0
-	canon.Stats.RacesLost = 0
-	canon.Stats.CancelledCPU = 0
 	canon.Stats.DeltaReuse = 0
 	canon.Stats.DeltaRecheck = 0
 	canon.Stats.Histograms = nil
