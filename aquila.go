@@ -88,20 +88,6 @@ const (
 // EncodeOptions selects encoding modes (see internal/encode.Options).
 type EncodeOptions = encode.Options
 
-// Schedule selects the find-all work-distribution strategy (see
-// internal/verify.Schedule).
-type Schedule = verify.Schedule
-
-// Scheduling strategy re-exports; ScheduleStatic is the default.
-const (
-	ScheduleStatic = verify.ScheduleStatic
-	ScheduleSteal  = verify.ScheduleSteal
-)
-
-// ParseSchedule maps the CLI -schedule flag values ("", "static",
-// "steal") to a Schedule.
-func ParseSchedule(s string) (Schedule, error) { return verify.ParseSchedule(s) }
-
 // Options configures verification and localization runs.
 type Options struct {
 	// FindAll checks every assertion one by one; the default stops at the
@@ -113,29 +99,13 @@ type Options struct {
 	// localization re-checks: 0 uses runtime.GOMAXPROCS(0), 1 forces the
 	// serial path. Reports are byte-identical at every setting.
 	Parallel int
-	// Slice enables per-assertion cone-of-influence slicing for find-all
-	// verification: VC conjuncts that cannot influence an assertion's
-	// checked condition are dropped before blasting. Reports stay
-	// byte-identical to unsliced mode.
-	Slice bool
-	// Stream makes find-all verification release transient per-assertion
-	// terms as it goes, bounding peak term memory by the VC plus one
-	// assertion's slice instead of the whole run. Forces the serial path;
-	// reports stay byte-identical to the default fresh-solver mode.
-	Stream bool
-	// Schedule selects the find-all work-distribution strategy:
-	// ScheduleStatic (default) or ScheduleSteal, the work-stealing
-	// scheduler. Canonical reports are byte-identical across schedules;
-	// steal mode is incompatible with Stream.
-	Schedule Schedule
 	// Encode selects the encoding modes; the zero value is the paper's
 	// configuration (sequential encoding, ABV lookup tree, KV packets).
 	Encode EncodeOptions
 }
 
 func (o Options) verifyOptions() verify.Options {
-	return verify.Options{Encode: o.Encode, FindAll: o.FindAll, Budget: o.Budget,
-		Parallel: o.Parallel, Slice: o.Slice, Stream: o.Stream, Schedule: o.Schedule}
+	return verify.Options{Encode: o.Encode, FindAll: o.FindAll, Budget: o.Budget, Parallel: o.Parallel}
 }
 
 // ParseProgram parses and type-checks P4lite source.
@@ -210,7 +180,9 @@ func LoadDeltas(path string) ([]*Delta, error) {
 }
 
 // NewSession builds a warm re-verification session for prog under snap
-// (nil: start from any-entries) and runs the baseline verification.
+// (nil: start from any-entries) and runs the baseline verification. The
+// session always checks every assertion, serially: opts.FindAll and
+// opts.Parallel are ignored.
 func NewSession(prog *Program, snap *Snapshot, spec *Spec, opts Options) (*Session, error) {
 	return verify.NewSession(prog, snap, spec, opts.verifyOptions())
 }

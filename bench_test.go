@@ -319,9 +319,8 @@ func BenchmarkObsOverhead(b *testing.B) {
 }
 
 // BenchmarkVerifyDCGateway_Allocs is the allocation benchmark CI gates
-// on: an end-to-end find-all verification of the DC Gateway under the
-// shipping memory-lean configuration (serial, slicing, streaming
-// release). Run with -benchmem; the allocs/op column is the
+// on: an end-to-end find-all verification of the DC Gateway on the
+// serial fresh engine. Run with -benchmem; the allocs/op column is the
 // number the term-arena / flat-clause-DB work exists to shrink, and the
 // scale campaign's CompareScale holds it within 20% of the checked-in
 // BENCH_scale.json anchor row.
@@ -338,8 +337,7 @@ func BenchmarkVerifyDCGateway_Allocs(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := verify.Run(prog, nil, spec, verify.Options{
-			FindAll: true, Parallel: 1, Slice: true, Stream: true})
+		rep, err := verify.Run(prog, nil, spec, verify.Options{FindAll: true, Parallel: 1})
 		if err != nil {
 			b.Fatal(err)
 		}

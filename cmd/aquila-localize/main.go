@@ -6,12 +6,8 @@
 // Usage:
 //
 //	aquila-localize -spec spec.lpi [-p4 prog.p4] [-entries snap.txt]
-//	                [-budget N] [-parallel N] [-schedule static|steal] [-slice]
+//	                [-budget N] [-parallel N]
 //	                [-trace out.json] [-pprof cpu.out] [-memprofile mem.out] [-v]
-//
-// -slice applies cone-of-influence slicing in the find-violations pass;
-// -schedule steal routes that pass through the work-stealing scheduler.
-// Results are identical.
 //
 // -trace writes a Chrome trace-event JSON covering the localization
 // pipeline (find-violations, table-entry repair, causality filter, fix
@@ -38,8 +34,6 @@ func run() int {
 		entries    = flag.String("entries", "", "table-entry snapshot file")
 		budget     = flag.Int64("budget", 0, "SAT conflict budget per query (0: unlimited)")
 		parallel   = flag.Int("parallel", 0, fmt.Sprintf("worker goroutines for localization re-checks (0: GOMAXPROCS, currently %d; 1: serial)", runtime.GOMAXPROCS(0)))
-		schedule   = flag.String("schedule", "static", "find-violations work distribution: static|steal")
-		slice      = flag.Bool("slice", false, "per-assertion cone-of-influence slicing in the find-violations pass")
 		tracePath  = flag.String("trace", "", "write Chrome trace-event JSON of the localization phases")
 		cpuProf    = flag.String("pprof", "", "write CPU profile (go tool pprof)")
 		memProf    = flag.String("memprofile", "", "write heap profile on exit")
@@ -52,14 +46,7 @@ func run() int {
 		flag.Usage()
 		return 2
 	}
-	sched, err := aquila.ParseSchedule(*schedule)
-	if err != nil {
-		return fail(err)
-	}
-	opts := aquila.Options{
-		Budget: *budget, Parallel: *parallel,
-		Slice: *slice, Schedule: sched,
-	}
+	opts := aquila.Options{Budget: *budget, Parallel: *parallel}
 
 	o, closeObs, err := obs.Setup(obs.Config{
 		TracePath: *tracePath, CPUProfilePath: *cpuProf,

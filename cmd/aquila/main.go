@@ -7,7 +7,6 @@
 //	aquila -spec spec.lpi [-p4 prog.p4] [-entries snap.txt] [-all]
 //	       [-parser sequential|tree] [-table abvtree|abvlinear|naive]
 //	       [-packet kv|bitvector] [-budget N] [-parallel N]
-//	       [-schedule static|steal] [-slice] [-stream]
 //	       [-trace out.json] [-pprof cpu.out] [-memprofile mem.out] [-v]
 //	       [-progress] [-metrics out.om] [-watchdog 30s]
 //	       [-churn deltas.txt]
@@ -17,21 +16,13 @@
 // verified once, then each delta re-verifies only what its blast radius
 // touches, with unchanged verdicts replayed from cache. Each step's
 // report is byte-identical to a fresh verification of the mutated
-// snapshot.
-//
-// -slice drops VC conjuncts outside each assertion's cone of influence
-// before blasting (find-all modes). -schedule steal routes find-all
-// checks through the work-stealing scheduler, whose per-worker warm
-// solvers blast the shared VC prefix once (implies -all). Reports are
-// byte-identical to the default fresh-solver mode under every combination
-// of these flags; incompatible combinations (e.g. -stream with -parallel)
-// are rejected up front with an error naming the conflict.
+// snapshot. The session is serial, so -churn rejects -parallel > 1.
 //
 // The P4 program may also be named by the spec's config section
 // (`config { path = prog.p4; }`), or selected from the built-in corpus
 // with -builtin (e.g. `aquila -builtin dc-gateway -all`, which infers the
 // undefined-behaviour spec — handy for smoke tests and CI; `skewed` is
-// the deliberately load-imbalanced scheduler benchmark).
+// the deliberately load-imbalanced benchmark).
 //
 // -trace writes a Chrome trace-event JSON (load it in chrome://tracing or
 // Perfetto) with one span per pipeline phase and per assertion solve;
@@ -51,53 +42,52 @@ import (
 	"aquila/internal/progs"
 )
 
-func main() { os.Exit(run()) }
+func main() { os.Exit(run(os.Args[1:])) }
 
 // run is main with an exit code, so the observability closers (trace
 // flush, profile writes) registered before the verdict always execute.
-func run() int {
+func run(args []string) int {
+	fs := flag.NewFlagSet("aquila", flag.ContinueOnError)
 	var (
-		p4Path     = flag.String("p4", "", "P4lite program (overrides the spec's config path)")
-		specPath   = flag.String("spec", "", "LPI specification file (required unless -builtin)")
-		builtin    = flag.String("builtin", "", "verify a built-in benchmark program (dc-gateway, skewed) under its inferred undefined-behaviour spec")
-		entries    = flag.String("entries", "", "table-entry snapshot file (omit: verify under any entries)")
-		findAll    = flag.Bool("all", false, "find all violated assertions (default: first only)")
-		parserStr  = flag.String("parser", "sequential", "parser encoding: sequential|tree")
-		tableStr   = flag.String("table", "abvtree", "table encoding: abvtree|abvlinear|naive")
-		packetStr  = flag.String("packet", "kv", "packet encoding: kv|bitvector")
-		budget     = flag.Int64("budget", 0, "SAT conflict budget per query (0: unlimited)")
-		parallel   = flag.Int("parallel", 0, fmt.Sprintf("worker goroutines for -all checks (0: GOMAXPROCS, currently %d; 1: serial)", runtime.GOMAXPROCS(0)))
-		slice      = flag.Bool("slice", false, "per-assertion cone-of-influence slicing of the VC (find-all modes)")
-		stream     = flag.Bool("stream", false, "streaming VC generation for -all: release per-assertion transient terms, bounding peak memory (implies -all, forces serial)")
-		schedule   = flag.String("schedule", "static", "find-all work distribution: static|steal (steal implies -all)")
-		blocklist  = flag.Bool("blocklist", false, "with no -entries: print the table behaviours that trigger each violation (§2 blocklist)")
-		jsonOut    = flag.Bool("json", false, "emit a machine-readable JSON report")
-		canonical  = flag.Bool("canonical", false, "with -json: emit the canonical report (cost counters zeroed) — byte-identical across engines, for differential checks")
-		tracePath  = flag.String("trace", "", "write Chrome trace-event JSON of the run's phases and per-assertion solves")
-		cpuProf    = flag.String("pprof", "", "write CPU profile (go tool pprof)")
-		memProf    = flag.String("memprofile", "", "write heap profile on exit")
-		verbose    = flag.Bool("v", false, "structured JSONL log on stderr (phase begin/end, verdicts, budget exhaustion)")
-		progress   = flag.Bool("progress", false, "live solver-heartbeat status line on stderr (conflicts/sec, trail, learnt DB)")
-		metricsOut = flag.String("metrics", "", "write OpenMetrics text exposition of the metrics registry on exit")
-		watchdog   = flag.Duration("watchdog", 0, "stall window: dump diagnostics for any check solving longer than this without finishing (0: off)")
-		churnPath  = flag.String("churn", "", "delta sequence file: re-verify through a warm session after each \"---\"-separated delta (implies -all and -slice)")
+		p4Path     = fs.String("p4", "", "P4lite program (overrides the spec's config path)")
+		specPath   = fs.String("spec", "", "LPI specification file (required unless -builtin)")
+		builtin    = fs.String("builtin", "", "verify a built-in benchmark program (dc-gateway, skewed) under its inferred undefined-behaviour spec")
+		entries    = fs.String("entries", "", "table-entry snapshot file (omit: verify under any entries)")
+		findAll    = fs.Bool("all", false, "find all violated assertions (default: first only)")
+		parserStr  = fs.String("parser", "sequential", "parser encoding: sequential|tree")
+		tableStr   = fs.String("table", "abvtree", "table encoding: abvtree|abvlinear|naive")
+		packetStr  = fs.String("packet", "kv", "packet encoding: kv|bitvector")
+		budget     = fs.Int64("budget", 0, "SAT conflict budget per query (0: unlimited)")
+		parallel   = fs.Int("parallel", 0, fmt.Sprintf("worker goroutines for -all checks (0: GOMAXPROCS, currently %d; 1: serial)", runtime.GOMAXPROCS(0)))
+		blocklist  = fs.Bool("blocklist", false, "with no -entries: print the table behaviours that trigger each violation (§2 blocklist)")
+		jsonOut    = fs.Bool("json", false, "emit a machine-readable JSON report")
+		canonical  = fs.Bool("canonical", false, "with -json: emit the canonical report (cost counters zeroed) — byte-identical across engines, for differential checks")
+		tracePath  = fs.String("trace", "", "write Chrome trace-event JSON of the run's phases and per-assertion solves")
+		cpuProf    = fs.String("pprof", "", "write CPU profile (go tool pprof)")
+		memProf    = fs.String("memprofile", "", "write heap profile on exit")
+		verbose    = fs.Bool("v", false, "structured JSONL log on stderr (phase begin/end, verdicts, budget exhaustion)")
+		progress   = fs.Bool("progress", false, "live solver-heartbeat status line on stderr (conflicts/sec, trail, learnt DB)")
+		metricsOut = fs.String("metrics", "", "write OpenMetrics text exposition of the metrics registry on exit")
+		watchdog   = fs.Duration("watchdog", 0, "stall window: dump diagnostics for any check solving longer than this without finishing (0: off)")
+		churnPath  = fs.String("churn", "", "delta sequence file: re-verify through a warm session after each \"---\"-separated delta (implies -all; serial)")
 	)
-	flag.Parse()
-	if *specPath == "" && *builtin == "" {
-		flag.Usage()
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
 		return 2
 	}
-	sched, err := aquila.ParseSchedule(*schedule)
-	if err != nil {
-		return fail(err)
+	if *specPath == "" && *builtin == "" {
+		fs.Usage()
+		return 2
+	}
+	if *churnPath != "" && *parallel > 1 {
+		return fail(fmt.Errorf("verify: -churn is incompatible with -parallel %d (a frozen shared context cannot re-encode deltas; use -parallel 1)", *parallel))
 	}
 	opts := aquila.Options{
-		FindAll:  *findAll || *stream || sched == aquila.ScheduleSteal,
+		FindAll:  *findAll,
 		Budget:   *budget,
 		Parallel: *parallel,
-		Slice:    *slice,
-		Stream:   *stream,
-		Schedule: sched,
 		Encode:   encodeOptions(*parserStr, *tableStr, *packetStr),
 	}
 

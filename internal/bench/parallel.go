@@ -14,11 +14,9 @@ import (
 )
 
 // ParallelRow is one measurement of the parallel-engine sweep: find-all
-// verification of the same program at a fixed {schedule, workers} point.
+// verification of the same program at a fixed worker count.
 type ParallelRow struct {
 	Workers int `json:"workers"`
-	// Schedule is the work-distribution strategy ("static" or "steal").
-	Schedule string `json:"schedule"`
 	// WallMS is the best-of-repeats find-all wall time (encode + solve).
 	WallMS float64 `json:"wall_ms"`
 	// SolveMS / SolveCPUMS are the solving phase's wall clock and the
@@ -27,7 +25,7 @@ type ParallelRow struct {
 	SolveMS    float64 `json:"solve_ms"`
 	SolveCPUMS float64 `json:"solve_cpu_ms"`
 	// Speedup is wall(baseline row) / wall(this row); the baseline is the
-	// first row (workers=1, static).
+	// first row (workers=1).
 	Speedup float64 `json:"speedup"`
 	// CPUBound marks a multi-worker row measured on a single effective
 	// CPU: its wall-clock speedup is bounded at 1.0x by the host, not by
@@ -35,16 +33,13 @@ type ParallelRow struct {
 	// Speedup column as an engine regression.
 	CPUBound bool `json:"cpu_bound,omitempty"`
 	// Identical reports whether this row's canonical report bytes match
-	// the baseline exactly — the determinism contract at every grid point.
+	// the baseline exactly — the determinism contract at every point.
 	Identical bool `json:"identical"`
 	Bugs      int  `json:"bugs"`
-	// Steals counts checks executed by a worker other than their static
-	// owner (steal schedule only).
-	Steals int64 `json:"steals,omitempty"`
 	// StragglerIndex is max worker busy time over mean worker busy time
-	// from the best run's trace (1.0 = perfectly balanced); the load-
-	// imbalance metric the steal schedule exists to improve. Meaningful
-	// from busy-time ratios even on a single-CPU host.
+	// from the best run's trace (1.0 = perfectly balanced), the
+	// load-imbalance metric. Meaningful from busy-time ratios even on a
+	// single-CPU host.
 	StragglerIndex float64 `json:"straggler_index,omitempty"`
 }
 
@@ -77,12 +72,11 @@ func (r *ParallelResult) SingleCPU() bool {
 	return r.CPUs <= 1 || r.NumCPU <= 1
 }
 
-// Parallel sweeps find-all verification of bm over the {schedule static,
-// steal} × workerCounts grid (each point repeated `repeats` times, best
-// wall time kept) and checks that every point reproduces the baseline
-// canonical report byte for byte. The first entry of workerCounts must be
-// 1 (the baseline point is static/workers-1). Every run carries an
-// in-process tracer so each row records its straggler index.
+// Parallel sweeps find-all verification of bm over workerCounts (each
+// point repeated `repeats` times, best wall time kept) and checks that
+// every point reproduces the baseline canonical report byte for byte. The
+// first entry of workerCounts must be 1 (the baseline point). Every run
+// carries an in-process tracer so each row records its straggler index.
 func Parallel(bm *progs.Benchmark, workerCounts []int, repeats int) (*ParallelResult, error) {
 	if len(workerCounts) == 0 || workerCounts[0] != 1 {
 		return nil, fmt.Errorf("bench: parallel sweep needs workerCounts starting at 1, got %v", workerCounts)
@@ -106,61 +100,53 @@ func Parallel(bm *progs.Benchmark, workerCounts []int, repeats int) (*ParallelRe
 	}
 	var baseline []byte
 	var baseWall time.Duration
-	for _, sched := range []verify.Schedule{verify.ScheduleStatic, verify.ScheduleSteal} {
-		for _, w := range workerCounts {
-			var best time.Duration
-			var bestRep *verify.Report
-			var bestSink *obs.Obs
-			for r := 0; r < repeats; r++ {
-				// Each repeat gets its own tracer so the best run's spans
-				// can be analyzed in isolation.
-				sink := &obs.Obs{Tracer: obs.NewTracer()}
-				start := time.Now()
-				// Plain engine config (no slicing): the sweep isolates the
-				// scheduler axis. Slicing shrinks the cheap assertions to
-				// noise level, which would bury the load-imbalance signal
-				// the straggler column exists to show.
-				rep, err := verify.Run(prog, nil, spec, verify.Options{
-					FindAll: true, Parallel: w, Schedule: sched, Obs: sink,
-				})
-				wall := time.Since(start)
-				if err != nil {
-					return nil, fmt.Errorf("bench: parallel sched=%v workers=%d: %w", sched, w, err)
-				}
-				if bestRep == nil || wall < best {
-					best, bestRep, bestSink = wall, rep, sink
-				}
-			}
-			canon, err := bestRep.CanonicalJSON()
+	for _, w := range workerCounts {
+		var best time.Duration
+		var bestRep *verify.Report
+		var bestSink *obs.Obs
+		for r := 0; r < repeats; r++ {
+			// Each repeat gets its own tracer so the best run's spans can
+			// be analyzed in isolation.
+			sink := &obs.Obs{Tracer: obs.NewTracer()}
+			start := time.Now()
+			rep, err := verify.Run(prog, nil, spec, verify.Options{
+				FindAll: true, Parallel: w, Obs: sink,
+			})
+			wall := time.Since(start)
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("bench: parallel workers=%d: %w", w, err)
 			}
-			if baseline == nil {
-				baseline, baseWall = canon, best
-				res.Assertions = bestRep.Stats.Assertions
+			if bestRep == nil || wall < best {
+				best, bestRep, bestSink = wall, rep, sink
 			}
-			row := ParallelRow{
-				Workers:    w,
-				Schedule:   sched.String(),
-				WallMS:     float64(best.Microseconds()) / 1000,
-				SolveMS:    float64(bestRep.Stats.SolveTime.Microseconds()) / 1000,
-				SolveCPUMS: float64(bestRep.Stats.SolveCPU.Microseconds()) / 1000,
-				Speedup:    float64(baseWall) / float64(best),
-				CPUBound:   w > 1 && res.SingleCPU(),
-				Identical:  bytes.Equal(canon, baseline),
-				Bugs:       len(bestRep.Violations),
-				Steals:     bestRep.Stats.Steals,
-			}
-			if util, err := obs.Analyze(bestSink.Tracer.Events()); err == nil {
-				row.StragglerIndex = util.StragglerIndex
-			}
-			res.Rows = append(res.Rows, row)
 		}
+		canon, err := bestRep.CanonicalJSON()
+		if err != nil {
+			return nil, err
+		}
+		if baseline == nil {
+			baseline, baseWall = canon, best
+			res.Assertions = bestRep.Stats.Assertions
+		}
+		row := ParallelRow{
+			Workers:    w,
+			WallMS:     float64(best.Microseconds()) / 1000,
+			SolveMS:    float64(bestRep.Stats.SolveTime.Microseconds()) / 1000,
+			SolveCPUMS: float64(bestRep.Stats.SolveCPU.Microseconds()) / 1000,
+			Speedup:    float64(baseWall) / float64(best),
+			CPUBound:   w > 1 && res.SingleCPU(),
+			Identical:  bytes.Equal(canon, baseline),
+			Bugs:       len(bestRep.Violations),
+		}
+		if util, err := obs.Analyze(bestSink.Tracer.Events()); err == nil {
+			row.StragglerIndex = util.StragglerIndex
+		}
+		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
 }
 
-// ParallelSuite runs the grid sweep on each benchmark.
+// ParallelSuite runs the worker-count sweep on each benchmark.
 func ParallelSuite(bms []*progs.Benchmark, workerCounts []int, repeats int) (*ParallelSuiteResult, error) {
 	out := &ParallelSuiteResult{}
 	for _, bm := range bms {
@@ -188,12 +174,12 @@ func FormatParallel(r *ParallelResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Parallel find-all sweep: %s (%d assertions, %d CPUs of %d cores, best of %d)\n",
 		r.Program, r.Assertions, r.CPUs, r.NumCPU, r.Repeats)
-	fmt.Fprintf(&b, "%-8s  %-5s  %10s  %10s  %12s  %8s  %9s  %4s  %6s  %9s\n",
-		"workers", "sched", "wall ms", "solve ms", "solve-cpu ms", "speedup", "identical", "bugs", "steals", "straggler")
+	fmt.Fprintf(&b, "%-8s  %10s  %10s  %12s  %8s  %9s  %4s  %9s\n",
+		"workers", "wall ms", "solve ms", "solve-cpu ms", "speedup", "identical", "bugs", "straggler")
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%-8d  %-5s  %10.1f  %10.1f  %12.1f  %7.2fx  %9v  %4d  %6d  %9.2f\n",
-			row.Workers, row.Schedule, row.WallMS, row.SolveMS,
-			row.SolveCPUMS, row.Speedup, row.Identical, row.Bugs, row.Steals,
+		fmt.Fprintf(&b, "%-8d  %10.1f  %10.1f  %12.1f  %7.2fx  %9v  %4d  %9.2f\n",
+			row.Workers, row.WallMS, row.SolveMS,
+			row.SolveCPUMS, row.Speedup, row.Identical, row.Bugs,
 			row.StragglerIndex)
 	}
 	if r.SingleCPU() {

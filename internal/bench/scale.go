@@ -81,9 +81,9 @@ type ScaleBaseline struct {
 // PreArenaBaseline was measured on the seed engine (commit 9c64427) with
 // this same campaign harness — same points, same 5 ms MemStats sampler —
 // before the memory-layout refactor, under the options the campaign used
-// then (find-all, serial, slicing, and CNF preprocessing, which no longer
-// exists; the seed has no streaming). The reported reductions therefore
-// include the preprocessor's share. See EXPERIMENTS.md ("Scale
+// then (find-all, serial, slicing and CNF preprocessing, neither of which
+// Run offers any more). The reported reductions therefore include the
+// preprocessor's share. See EXPERIMENTS.md ("Scale
 // campaign") for methodology.
 var PreArenaBaseline = ScaleBaseline{
 	DCGatewayAllocs:      792_078,
@@ -256,16 +256,14 @@ func scalePoints(quick bool) ([]scalePoint, error) {
 	return pts, nil
 }
 
-// scaleOpts is the shipping memory-lean engine configuration every
-// campaign point runs under: streaming find-all (serial, per-assertion
-// arena release) with COI slicing.
+// scaleOpts is the engine configuration every campaign point runs
+// under: the fresh per-assertion find-all engine, serial, so peak heap
+// and allocations are not spread over a worker pool.
 func scaleOpts(eopts encode.Options) verify.Options {
 	return verify.Options{
 		Encode:   eopts,
 		FindAll:  true,
 		Budget:   scaleBudget,
-		Slice:    true,
-		Stream:   true,
 		Parallel: 1,
 	}
 }

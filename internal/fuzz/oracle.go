@@ -49,20 +49,20 @@ func (d *Divergence) String() string {
 type engineConfig struct {
 	name string
 	opts verify.Options
+	// session runs the cell as a verify.NewSession baseline instead of a
+	// verify.Run.
+	session bool
 }
 
-// engineMatrix spans {fresh, parallel, steal} × {plain, slice}: every
-// solving strategy the driver exposes must produce the same verdict and
-// byte-identical canonical report. The steal+slice cell keeps the
-// shared-solver path (checkOneShared, which also serves sessions) under
-// the oracle; its plain cell is left out to keep per-input cost bounded.
+// engineMatrix spans every solving engine the driver exposes: the fresh
+// per-assertion pool serial and on 4 workers, and the session engine's
+// baseline, which slices and checks on one warm shared solver. All must
+// produce the same verdict and byte-identical canonical report.
 func engineMatrix() []engineConfig {
 	return []engineConfig{
-		{"fresh", verify.Options{FindAll: true, Parallel: 1}},
-		{"fresh+slice", verify.Options{FindAll: true, Parallel: 1, Slice: true}},
-		{"parallel", verify.Options{FindAll: true, Parallel: 4}},
-		{"parallel+slice", verify.Options{FindAll: true, Parallel: 4, Slice: true}},
-		{"steal+slice", verify.Options{FindAll: true, Parallel: 2, Schedule: verify.ScheduleSteal, Slice: true}},
+		{name: "fresh", opts: verify.Options{FindAll: true, Parallel: 1}},
+		{name: "parallel", opts: verify.Options{FindAll: true, Parallel: 4}},
+		{name: "session", session: true},
 	}
 }
 
@@ -303,9 +303,19 @@ func installableActions(tbl *p4.Table) []string {
 func (e *Engine) runCell(prog *p4.Program, in *Input, spec *lpi.Spec, cell engineConfig, o *obs.Obs) (*verify.Report, []byte, error) {
 	opts := cell.opts
 	opts.Obs = o
-	rep, err := verify.Run(prog, in.Snap, spec, opts)
-	if err != nil {
-		return nil, nil, err
+	var rep *verify.Report
+	if cell.session {
+		sess, err := verify.NewSession(prog, in.Snap, spec, opts)
+		if err != nil {
+			return nil, nil, err
+		}
+		defer sess.Close()
+		rep = sess.Baseline()
+	} else {
+		var err error
+		if rep, err = verify.Run(prog, in.Snap, spec, opts); err != nil {
+			return nil, nil, err
+		}
 	}
 	js, err := rep.CanonicalJSON()
 	if err != nil {

@@ -7,7 +7,6 @@ import (
 	"aquila/internal/lpi"
 	"aquila/internal/p4"
 	"aquila/internal/tables"
-	"aquila/internal/verify"
 )
 
 // ttlProgram is the paper's Figure 4 / Figure 9 setting: actions copy the
@@ -269,10 +268,9 @@ func TestResultString(t *testing.T) {
 }
 
 // TestLocalizeEngineDifferential pins localization outcomes across
-// solving modes: the work-stealing scheduler and parallel workers must
-// produce the same kind, violated set, suspect tables, and candidate
-// locations as the default serial fresh-solver mode on both a table-entry
-// bug and the two program-bug stories.
+// worker counts: parallel workers must produce the same kind, violated
+// set, suspect tables, and candidate locations as the default mode on
+// both a table-entry bug and the two program-bug stories.
 func TestLocalizeEngineDifferential(t *testing.T) {
 	wrongStmt := strings.Replace(ttlProgramMissing,
 		"action a_dec() { ig_md.ttl = ig_md.ttl; } // bug: decrement missing",
@@ -295,36 +293,33 @@ func TestLocalizeEngineDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: fresh: %v", c.name, err)
 		}
-		for _, sched := range []verify.Schedule{verify.ScheduleStatic, verify.ScheduleSteal} {
-			for _, w := range []int{1, 2} {
-				opts := Options{}
-				opts.Verify.Schedule = sched
-				opts.Verify.Parallel = w
-				res, err := Localize(prog, snap, spec, opts)
-				if err != nil {
-					t.Fatalf("%s: sched=%v w=%d: %v", c.name, sched, w, err)
+		for _, w := range []int{1, 2} {
+			opts := Options{}
+			opts.Verify.Parallel = w
+			res, err := Localize(prog, snap, spec, opts)
+			if err != nil {
+				t.Fatalf("%s: w=%d: %v", c.name, w, err)
+			}
+			if res.Kind != base.Kind {
+				t.Fatalf("%s w=%d: kind = %v, fresh = %v", c.name, w, res.Kind, base.Kind)
+			}
+			if strings.Join(res.Violated, ",") != strings.Join(base.Violated, ",") {
+				t.Errorf("%s w=%d: violated %v != fresh %v", c.name, w, res.Violated, base.Violated)
+			}
+			if strings.Join(res.Tables, ",") != strings.Join(base.Tables, ",") {
+				t.Errorf("%s w=%d: tables %v != fresh %v", c.name, w, res.Tables, base.Tables)
+			}
+			if len(res.Candidates) != len(base.Candidates) {
+				t.Fatalf("%s w=%d: candidates %v != fresh %v", c.name, w, res.Candidates, base.Candidates)
+			}
+			for i := range res.Candidates {
+				if res.Candidates[i] != base.Candidates[i] {
+					t.Errorf("%s w=%d: candidate[%d] %v != fresh %v",
+						c.name, w, i, res.Candidates[i], base.Candidates[i])
 				}
-				if res.Kind != base.Kind {
-					t.Fatalf("%s w=%d: kind = %v, fresh = %v", c.name, w, res.Kind, base.Kind)
-				}
-				if strings.Join(res.Violated, ",") != strings.Join(base.Violated, ",") {
-					t.Errorf("%s w=%d: violated %v != fresh %v", c.name, w, res.Violated, base.Violated)
-				}
-				if strings.Join(res.Tables, ",") != strings.Join(base.Tables, ",") {
-					t.Errorf("%s w=%d: tables %v != fresh %v", c.name, w, res.Tables, base.Tables)
-				}
-				if len(res.Candidates) != len(base.Candidates) {
-					t.Fatalf("%s w=%d: candidates %v != fresh %v", c.name, w, res.Candidates, base.Candidates)
-				}
-				for i := range res.Candidates {
-					if res.Candidates[i] != base.Candidates[i] {
-						t.Errorf("%s w=%d: candidate[%d] %v != fresh %v",
-							c.name, w, i, res.Candidates[i], base.Candidates[i])
-					}
-				}
-				if res.Pool != base.Pool {
-					t.Errorf("%s w=%d: pool %d != fresh %d", c.name, w, res.Pool, base.Pool)
-				}
+			}
+			if res.Pool != base.Pool {
+				t.Errorf("%s w=%d: pool %d != fresh %d", c.name, w, res.Pool, base.Pool)
 			}
 		}
 	}

@@ -195,25 +195,3 @@ func CompareUtilization(ref, got *Utilization) error {
 	}
 	return nil
 }
-
-// CompareStraggler is the CI load-balance gate for the work-stealing
-// scheduler: on a workload with a known heavy assertion, the steal
-// schedule's straggler index (got) must not be worse than the static
-// schedule's (ref). A small tolerance absorbs trace-timestamp noise on
-// runs whose checks are all sub-millisecond. Busy-time ratios are
-// machine-speed invariant, so the gate holds even on a 1-CPU host.
-func CompareStraggler(ref, got *Utilization) error {
-	if ref == nil || got == nil {
-		return fmt.Errorf("obs: compare: missing utilization data")
-	}
-	if ref.StragglerIndex <= 0 || got.StragglerIndex <= 0 {
-		return fmt.Errorf("obs: compare: missing straggler index (ref %.2f, got %.2f)",
-			ref.StragglerIndex, got.StragglerIndex)
-	}
-	const tolerance = 1.05
-	if got.StragglerIndex > ref.StragglerIndex*tolerance {
-		return fmt.Errorf("obs: load-balance regression: straggler index %.2f exceeds reference %.2f (tolerance %.0f%%)",
-			got.StragglerIndex, ref.StragglerIndex, 100*(tolerance-1))
-	}
-	return nil
-}

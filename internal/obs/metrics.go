@@ -26,7 +26,6 @@ const (
 	CtrSMTInternHits     = "smt.intern_hits"
 	CtrSMTInternMisses   = "smt.intern_misses"
 	CtrSMTFrozenLocks    = "smt.frozen_ctx_locks"
-	CtrSMTTermsReleased  = "smt.terms_released"
 
 	// GCL structure: one counter per statement kind reachable in the
 	// compiled verification program, named CtrGCLStmtPrefix + kind. The
@@ -40,13 +39,10 @@ const (
 	CtrVerifyUnsat        = "verify.checks_unsat"
 	CtrVerifyUnknown      = "verify.checks_unknown"
 	CtrVerifySliceDropped = "verify.slice_conjuncts_dropped"
-	// Work-stealing scheduler (find-all engine): steals counts checks
-	// executed by a worker other than their static owner.
 	// Session (delta re-verification) engine: verdicts replayed from the
 	// session cache vs assertions re-solved after a table delta.
 	CtrVerifyDeltaReuse   = "verify.delta_reuse_hits"
 	CtrVerifyDeltaRecheck = "verify.delta_recheck"
-	CtrVerifySteals       = "verify.steals"
 	GaugeTermNodes        = "smt.term_nodes"
 	GaugeVerifyWorkers    = "verify.workers"
 

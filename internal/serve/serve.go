@@ -62,8 +62,8 @@ type Config struct {
 	// entries" snapshot.
 	Snap *tables.Snapshot
 	// Opts is the base verification options for every session; the
-	// session engine flags (FindAll, Slice, Session, Parallel=1) are
-	// forced on top, and each session gets its own cancellation token.
+	// session engine ignores FindAll and Parallel (it is always find-all
+	// and serial), and each session gets its own cancellation token.
 	Opts verify.Options
 	// ProgramRef is an opaque identity of the program+spec pair, pinned
 	// into every journal create record; recovery refuses a journal
@@ -333,7 +333,6 @@ func (srv *Server) journalPath(id string) string {
 func (srv *Server) newSession(id string, snap *tables.Snapshot, budget int64, deadline time.Duration) (*session, bool, error) {
 	cancel := &atomic.Bool{}
 	opts := srv.cfg.Opts
-	opts.Parallel = 1
 	opts.Cancel = cancel
 	if budget > 0 {
 		opts.Budget = budget

@@ -30,7 +30,7 @@ func TestArenaPointerStabilityAcrossChunks(t *testing.T) {
 	}
 }
 
-// TestMarkReleaseRoundTrip exercises the streaming-VC arena rollback:
+// TestMarkReleaseRoundTrip exercises the arena rollback:
 // transients spanning multiple chunks are discarded, survivors stay
 // interned at their original pointers, released IDs are reused, and the
 // release counter accounts for every discarded term.
@@ -92,8 +92,8 @@ func TestMarkReleaseRoundTrip(t *testing.T) {
 }
 
 // TestReleaseFrozenPanics pins the ownership rule: a frozen (shared)
-// context must refuse Release — the streaming engine is serial for
-// exactly this reason.
+// context must refuse Release — Session.Compact, the one caller, owns its
+// context serially for exactly this reason.
 func TestReleaseFrozenPanics(t *testing.T) {
 	c := NewCtx()
 	x := c.Var("x", 8)

@@ -174,8 +174,7 @@ type Ctx struct {
 	internMisses int64
 	frozenLocks  int64
 
-	// releasedTerms counts terms discarded by Release — the streaming VC
-	// driver's "transient slice terms freed" figure.
+	// releasedTerms counts terms discarded by Release.
 	releasedTerms int64
 }
 
@@ -404,9 +403,8 @@ func (c *Ctx) Mark() int { return c.NumTerms() }
 // Release discards every term created since the mark: the terms are
 // removed from the intern table, their arena slots are zeroed (so the
 // argument slabs and constant values they referenced become collectable),
-// and subsequently created terms reuse the released IDs. The streaming VC
-// driver uses this to keep per-assertion slice terms from accumulating
-// across a whole find-all run.
+// and subsequently created terms reuse the released IDs. Session.Compact
+// uses this to return a warm session's context to its creation mark.
 //
 // Correctness is the caller's bargain: no pointer to a released term may
 // be used again, and no external structure keyed by term ID may retain

@@ -31,8 +31,8 @@ func flightSink() *obs.Obs {
 
 // TestFlightCanonicalMatrix pins the determinism contract across the
 // whole engine matrix: canonical report bytes are byte-identical with
-// the full flight recorder attached vs no sinks at all, for
-// {fresh, parallel, steal, stream} × workers 1/2/4.
+// the full flight recorder attached vs no sinks at all, for the fresh
+// engine at workers 1/2/4 (TestFlightSliceDropHistogram covers sessions).
 func TestFlightCanonicalMatrix(t *testing.T) {
 	prog, spec := dcGateway(t)
 	configs := []struct {
@@ -42,10 +42,6 @@ func TestFlightCanonicalMatrix(t *testing.T) {
 		{"fresh/w1", Options{FindAll: true, Parallel: 1}},
 		{"parallel/w2", Options{FindAll: true, Parallel: 2}},
 		{"parallel/w4", Options{FindAll: true, Parallel: 4}},
-		{"steal/w1", Options{FindAll: true, Schedule: ScheduleSteal, Parallel: 1}},
-		{"steal/w2", Options{FindAll: true, Schedule: ScheduleSteal, Parallel: 2}},
-		{"steal/w4", Options{FindAll: true, Schedule: ScheduleSteal, Parallel: 4}},
-		{"stream/w1", Options{FindAll: true, Stream: true, Parallel: 1}},
 	}
 	var want []byte
 	for _, c := range configs {
@@ -101,9 +97,10 @@ func TestFlightHistograms(t *testing.T) {
 		t.Errorf("%s count/sum = %d/%d, want %d/%d",
 			obs.HistLearntSize, got.Count, got.Sum, rep.Stats.Conflicts, rep.Stats.LearntLits)
 	}
-	// No slicing in this run, so the slice-drop histogram must be absent.
+	// The fresh engine never slices, so the slice-drop histogram must be
+	// absent.
 	if _, ok := byName[obs.HistSliceDropPct]; ok {
-		t.Errorf("%s present without -slice", obs.HistSliceDropPct)
+		t.Errorf("%s present in a fresh run", obs.HistSliceDropPct)
 	}
 
 	// The registry carries the same distributions under the same names.
@@ -159,13 +156,23 @@ func TestFlightHistograms(t *testing.T) {
 	}
 }
 
-// TestFlightSliceDropHistogram: under -slice every assertion records its
-// conjuncts-dropped percentage.
+// TestFlightSliceDropHistogram: a session baseline, which slices, records
+// every sliced assertion's conjuncts-dropped percentage, while the fresh
+// Run of the same problem (TestFlightHistograms) records none — and the
+// histogram stays out of the canonical bytes the two share.
 func TestFlightSliceDropHistogram(t *testing.T) {
 	prog, spec := dcGateway(t)
-	rep, err := Run(prog, nil, spec, Options{FindAll: true, Parallel: 1, Slice: true, Obs: flightSink()})
+	sess, err := NewSession(prog, nil, spec, Options{Obs: flightSink()})
+	if err != nil {
+		t.Fatalf("NewSession: %v", err)
+	}
+	rep := sess.Baseline()
+	fresh, err := Run(prog, nil, spec, Options{FindAll: true, Parallel: 1})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
+	}
+	if !bytes.Equal(canonicalOf(t, rep), canonicalOf(t, fresh)) {
+		t.Error("flight-recorded session baseline differs canonically from fresh Run")
 	}
 	var drop *HistogramStat
 	for i := range rep.Stats.Histograms {

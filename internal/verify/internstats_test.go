@@ -24,7 +24,7 @@ func TestInternStatsParallelVerify(t *testing.T) {
 	if err != nil {
 		t.Fatalf("spec: %v", err)
 	}
-	rep, err := Run(prog, nil, spec, Options{FindAll: true, Parallel: 4, Slice: true})
+	rep, err := Run(prog, nil, spec, Options{FindAll: true, Parallel: 4})
 	if err != nil {
 		t.Fatalf("verify: %v", err)
 	}
@@ -37,7 +37,7 @@ func TestInternStatsParallelVerify(t *testing.T) {
 		t.Errorf("intern misses %d != live terms %d: the miss ledger lost or double-counted a creation", misses, n)
 	}
 	if hits == 0 {
-		t.Error("intern hits stayed 0 across encoding and slicing")
+		t.Error("intern hits stayed 0 across encoding")
 	}
 	if frozenLocks == 0 {
 		t.Error("frozenLocks stayed 0 despite post-freeze context use")

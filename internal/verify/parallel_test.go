@@ -5,40 +5,44 @@ import (
 	"errors"
 	"testing"
 
+	"aquila/internal/gcl"
+	"aquila/internal/genprog"
 	"aquila/internal/lpi"
 	"aquila/internal/p4"
 	"aquila/internal/progs"
+	"aquila/internal/smt"
 )
 
 // corpusSuite is every hand-written program plus the DC gateway, each
 // paired with its generated invalid-header-access spec.
-func corpusSuite(t *testing.T) []struct {
+func corpusSuite(t *testing.T) []corpusCase {
+	t.Helper()
+	var out []corpusCase
+	for _, bm := range append(progs.HandWrittenSuite(), progs.DCGatewayBench(), progs.SkewedBench()) {
+		out = append(out, loadCase(t, bm))
+	}
+	return out
+}
+
+// corpusCase is one verification problem of a test suite.
+type corpusCase struct {
 	name string
 	prog *p4.Program
 	spec *lpi.Spec
-} {
+}
+
+// loadCase parses bm under its generated invalid-header-access spec.
+func loadCase(t *testing.T, bm *progs.Benchmark) corpusCase {
 	t.Helper()
-	var out []struct {
-		name string
-		prog *p4.Program
-		spec *lpi.Spec
+	prog, err := bm.Parse()
+	if err != nil {
+		t.Fatalf("%s: parse: %v", bm.Name, err)
 	}
-	for _, bm := range append(progs.HandWrittenSuite(), progs.DCGatewayBench(), progs.SkewedBench()) {
-		prog, err := bm.Parse()
-		if err != nil {
-			t.Fatalf("%s: parse: %v", bm.Name, err)
-		}
-		spec, err := lpi.Parse(progs.InvalidHeaderAccessSpec(prog, bm.Calls))
-		if err != nil {
-			t.Fatalf("%s: spec: %v", bm.Name, err)
-		}
-		out = append(out, struct {
-			name string
-			prog *p4.Program
-			spec *lpi.Spec
-		}{bm.Name, prog, spec})
+	spec, err := lpi.Parse(progs.InvalidHeaderAccessSpec(prog, bm.Calls))
+	if err != nil {
+		t.Fatalf("%s: spec: %v", bm.Name, err)
 	}
-	return out
+	return corpusCase{bm.Name, prog, spec}
 }
 
 // TestParallelReportsByteIdentical is the engine's determinism contract:
@@ -46,32 +50,54 @@ func corpusSuite(t *testing.T) []struct {
 // exactly — same verdicts, violations, counterexamples and formula sizes.
 func TestParallelReportsByteIdentical(t *testing.T) {
 	for _, c := range corpusSuite(t) {
-		serial, err := Run(c.prog, nil, c.spec, Options{FindAll: true, Parallel: 1})
+		assertParallelMatchesSerial(t, c, []int{2, 4, 8})
+	}
+}
+
+// TestParallelGenprogDifferential runs the determinism contract on a
+// synthetic program with a seeded bug, so it is exercised on reports that
+// carry real counterexamples: the serial run must find the bug and every
+// worker count must reproduce its canonical report byte for byte.
+func TestParallelGenprogDifferential(t *testing.T) {
+	gp := genprog.Assemble(genprog.Config{Name: "gp_seeded", Pipes: 1, ParserStates: 6,
+		Tables: 10, ActionsPerTable: 2, SeedBug: true})
+	serial := assertParallelMatchesSerial(t, loadCase(t, gp), []int{2, 4})
+	if serial.Holds {
+		t.Fatalf("%s: seeded bug not found", gp.Name)
+	}
+}
+
+// assertParallelMatchesSerial runs c serially and at each worker count and
+// fails t where a canonical report differs from the serial one. It returns
+// the serial report.
+func assertParallelMatchesSerial(t *testing.T, c corpusCase, workers []int) *Report {
+	t.Helper()
+	serial, err := Run(c.prog, nil, c.spec, Options{FindAll: true, Parallel: 1})
+	if err != nil {
+		t.Fatalf("%s: serial: %v", c.name, err)
+	}
+	want, err := serial.CanonicalJSON()
+	if err != nil {
+		t.Fatalf("%s: canonical: %v", c.name, err)
+	}
+	for _, w := range workers {
+		rep, err := Run(c.prog, nil, c.spec, Options{FindAll: true, Parallel: w})
 		if err != nil {
-			t.Fatalf("%s: serial: %v", c.name, err)
+			t.Fatalf("%s: workers=%d: %v", c.name, w, err)
 		}
-		want, err := serial.CanonicalJSON()
+		got, err := rep.CanonicalJSON()
 		if err != nil {
-			t.Fatalf("%s: canonical: %v", c.name, err)
+			t.Fatalf("%s: workers=%d canonical: %v", c.name, w, err)
 		}
-		for _, w := range []int{2, 4, 8} {
-			rep, err := Run(c.prog, nil, c.spec, Options{FindAll: true, Parallel: w})
-			if err != nil {
-				t.Fatalf("%s: workers=%d: %v", c.name, w, err)
-			}
-			got, err := rep.CanonicalJSON()
-			if err != nil {
-				t.Fatalf("%s: workers=%d canonical: %v", c.name, w, err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Errorf("%s: workers=%d report differs from serial\nserial: %s\nparallel: %s",
-					c.name, w, want, got)
-			}
-			if rep.Stats.Workers < 1 {
-				t.Errorf("%s: workers=%d: Stats.Workers = %d", c.name, w, rep.Stats.Workers)
-			}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: workers=%d report differs from serial\nserial: %s\nparallel: %s",
+				c.name, w, want, got)
+		}
+		if rep.Stats.Workers < 1 {
+			t.Errorf("%s: workers=%d: Stats.Workers = %d", c.name, w, rep.Stats.Workers)
 		}
 	}
+	return serial
 }
 
 // TestParallelBudgetExhaustion pins budget semantics under parallelism:
@@ -127,4 +153,62 @@ func TestForEach(t *testing.T) {
 		}
 	}
 	ForEach(4, 0, func(i int) { t.Fatal("callback on empty range") })
+}
+
+// TestRunByteStableAcrossRuns pins cross-Run determinism: two independent
+// Runs of the same program in the same process must produce identical
+// canonical bytes. The skewed-telemetry program is the regression case —
+// its adder-identity guard has symmetric counterexample candidates, so
+// any map-iteration-order leak into term construction (gcl's branch merge
+// once had one) shows up as a flipped model here. The bench sweeps and
+// the CI worker-count smoke compare reports across processes; this is
+// the contract they stand on.
+func TestRunByteStableAcrossRuns(t *testing.T) {
+	bm := progs.SkewedBench()
+	prog, err := bm.Parse()
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := lpi.Parse(progs.InvalidHeaderAccessSpec(prog, bm.Calls))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{FindAll: true, Parallel: 1}
+	var want []byte
+	for i := 0; i < 3; i++ {
+		rep, err := Run(prog, nil, spec, opts)
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		got, err := rep.CanonicalJSON()
+		if err != nil {
+			t.Fatalf("run %d: canonical: %v", i, err)
+		}
+		if want == nil {
+			want = got
+		} else if !bytes.Equal(want, got) {
+			t.Fatalf("run %d: canonical report differs from run 0", i)
+		}
+	}
+}
+
+// TestZeroAssertions pins the n = 0 path end to end: a find-all run over
+// an empty assertion list must hold and spawn no solvers, serial or on a
+// worker pool.
+func TestZeroAssertions(t *testing.T) {
+	for _, opts := range []Options{
+		{FindAll: true, Parallel: 1},
+		{FindAll: true, Parallel: 4},
+	} {
+		rep := &Report{Ctx: smt.NewCtx(), Result: &gcl.Result{}}
+		if err := rep.check(opts); err != nil {
+			t.Fatalf("%+v: %v", opts, err)
+		}
+		if !rep.Holds && len(rep.Violations) != 0 {
+			t.Fatalf("%+v: violations on empty assertion list", opts)
+		}
+		if rep.Stats.SATVars != 0 || rep.Stats.CNFClauses != 0 {
+			t.Fatalf("%+v: empty run created solver work: %+v", opts, rep.Stats)
+		}
+	}
 }

@@ -44,16 +44,16 @@ import (
 //     every remainder D' — a delta that changes only dropped conjuncts
 //     cannot make a held assertion fail.
 //   - anything else (changed slice, cached Sat under a changed full
-//     condition, cached Unknown) → re-check on the warm shared solver
-//     with the same canonicalization the steal scheduler uses: a Sat
-//     is re-solved on the full condition by a deterministic fresh
-//     solver, a sliced Sat whose full condition is Unsat becomes Unsat,
-//     a contradiction surfaces as Unknown.
+//     condition, cached Unknown) → re-check the slice on the warm shared
+//     solver and make the verdict canonical (recheck): a Sat is
+//     re-solved on the full condition by a deterministic fresh solver, a
+//     sliced Sat whose full condition is Unsat becomes Unsat, a
+//     contradiction surfaces as Unknown.
 //
 // Under those rules every Apply report's CanonicalJSON is byte-identical
 // to a fresh verify.Run on the mutated snapshot, with budget-exhaustion
-// (Unknown) verdicts the same documented exception the steal scheduler
-// has.
+// (Unknown) verdicts the documented exception: learned clauses on the
+// warm solver change how far a conflict budget reaches.
 type Session struct {
 	prog *p4.Program
 	spec *lpi.Spec
@@ -108,15 +108,11 @@ type SessionStats struct {
 
 // NewSession loads prog + snap once and runs the baseline verification.
 // snap may be nil (any-entries mode); Apply then installs the first
-// entries. The session forces find-all + slicing (its replay rules are
-// built on cone-of-influence slices) and owns a clone of snap.
+// entries. The session owns a clone of snap. It always runs find-all
+// with cone-of-influence slicing (its replay rules are built on slices)
+// and is serial — one warm context, slicer and solver — so it ignores
+// opts.FindAll and opts.Parallel.
 func NewSession(prog *p4.Program, snap *tables.Snapshot, spec *lpi.Spec, opts Options) (*Session, error) {
-	opts.Session = true
-	opts.FindAll = true
-	opts.Slice = true
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
 	ctx := smt.NewCtx()
 	s := &Session{
 		prog:   prog,
@@ -332,9 +328,7 @@ func (s *Session) run(delta *tables.Delta) (*Report, error) {
 				"label": v.Label, "status": statusString(st),
 			})
 		} else {
-			st, model, ss, cpu = s.recheck(v, checkCond)
-			rep.Stats.SolveCPU += cpu
-			rep.Stats.addSolver(ss)
+			st, model, ss, cpu = s.recheck(o, v, checkCond)
 			rep.Stats.DeltaRecheck++
 			s.stats.Rechecks++
 			rep.recordCheck(o, v.Label, 0, ss, st, cpu)
@@ -349,31 +343,8 @@ func (s *Session) run(delta *tables.Delta) (*Report, error) {
 			status:     st,
 			violation:  viol,
 		}
-		rep.Stats.PerAssertion = append(rep.Stats.PerAssertion, AssertionCost{
-			Label:        v.Label,
-			Status:       statusString(st),
-			SolveTime:    cpu,
-			Conflicts:    ss.Conflicts,
-			Decisions:    ss.Decisions,
-			Propagations: ss.Propagations,
-			Restarts:     ss.Restarts,
-			CNFClauses:   ss.Clauses,
-			SATVars:      ss.SATVars,
-		})
-		o.Event("assertion", map[string]any{
-			"label": v.Label, "status": statusString(st),
-			"solve_us": cpu.Microseconds(), "conflicts": ss.Conflicts,
-			"clauses": ss.Clauses, "session": true,
-		})
-		if st == smt.Unknown {
-			o.Event("budget_exhausted", map[string]any{
-				"label": v.Label, "budget": s.opts.Budget,
-			})
-			runErr = ErrBudget
+		if runErr = rep.recordAssertion(o, s.opts.Budget, v.Label, st, ss, cpu, viol); runErr != nil {
 			break
-		}
-		if st == smt.Sat {
-			rep.Violations = append(rep.Violations, viol)
 		}
 	}
 	endSolve()
@@ -417,13 +388,42 @@ func (s *Session) replay(ce *sessionEntry, v *gcl.Violation, checkCond *smt.Term
 	return 0, nil, false
 }
 
-// recheck solves one condition on the warm shared solver with the steal
-// scheduler's canonicalization (checkOneShared).
-func (s *Session) recheck(v *gcl.Violation, checkCond *smt.Term) (smt.Status, *smt.Model, smt.SolverStats, time.Duration) {
+// recheck checks one sliced condition on the warm shared solver via an
+// activation literal, then makes the verdict canonical exactly as the
+// fresh engine would: a Sat is re-solved on the ORIGINAL condition by a
+// deterministic fresh solver, a sliced Sat whose full condition is Unsat
+// becomes Unsat (the dropped, variable-disjoint remainder was
+// unsatisfiable on its own), and a contradicting re-check surfaces as
+// Unknown rather than fabricating a model. ss is this check's delta on
+// the warm solver plus the re-solve's cost.
+func (s *Session) recheck(o *obs.Obs, v *gcl.Violation, checkCond *smt.Term) (st smt.Status, model *smt.Model, ss smt.SolverStats, cpu time.Duration) {
 	solver := s.ensureSolver()
-	rep := &Report{Ctx: s.ctx} // carrier for the shared check helpers
-	st, model, ss, cpu, _ := rep.checkOneShared(s.opts, v, checkCond, 0, solver, &s.prev)
-	return st, model, ss, cpu
+	installProgress(o, solver, v.Label, 0)
+	t0 := time.Now()
+	st = solver.CheckLits(solver.Indicator(checkCond))
+	cpu = time.Since(t0)
+	cur := solver.SolverStats()
+	ss = statsDelta(cur, s.prev)
+	s.prev = cur
+	if st != smt.Sat {
+		return
+	}
+	s2 := s.opts.newSolver(s.ctx)
+	installProgress(o, s2, v.Label, 0)
+	t1 := time.Now()
+	st2 := s2.Check(v.Cond)
+	cpu += time.Since(t1)
+	ss = addStats(ss, s2.SolverStats())
+	switch st2 {
+	case smt.Sat:
+		model = s2.Model()
+		s2.ModelCollect(model, v.Cond)
+	case smt.Unsat:
+		st = smt.Unsat
+	default:
+		st = smt.Unknown
+	}
+	return
 }
 
 // buildDeps rebuilds the table -> assertion dependency index from the

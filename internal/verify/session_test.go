@@ -386,39 +386,3 @@ func median(ds []time.Duration) time.Duration {
 	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 	return s[len(s)/2]
 }
-
-// TestSessionValidateOptions pins the churn-mode flag matrix: every
-// engine that freezes, releases, or races over the term context is
-// rejected up front with an error naming the conflict.
-func TestSessionValidateOptions(t *testing.T) {
-	ok := Options{Session: true, FindAll: true, Parallel: 1}
-	if err := ok.Validate(); err != nil {
-		t.Fatalf("valid session options rejected: %v", err)
-	}
-	bad := []struct {
-		name string
-		o    Options
-		want string
-	}{
-		{"find-first", Options{Session: true}, "find-all"},
-		{"stream", Options{Session: true, FindAll: true, Stream: true}, "-stream"},
-		{"steal", Options{Session: true, FindAll: true, Schedule: ScheduleSteal}, "steal"},
-		{"parallel", Options{Session: true, FindAll: true, Parallel: 8}, "-parallel"},
-	}
-	for _, tc := range bad {
-		err := tc.o.Validate()
-		if err == nil {
-			t.Errorf("%s: incompatible options accepted", tc.name)
-			continue
-		}
-		if !bytes.Contains([]byte(err.Error()), []byte(tc.want)) {
-			t.Errorf("%s: error %q does not name %q", tc.name, err, tc.want)
-		}
-	}
-	// NewSession force-fixes FindAll/Slice but must still reject engine
-	// conflicts.
-	prog, spec, snap := churnProblem(t)
-	if _, err := NewSession(prog, snap, spec, Options{Stream: true}); err == nil {
-		t.Fatal("NewSession accepted stream options")
-	}
-}

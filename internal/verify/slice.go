@@ -2,7 +2,6 @@ package verify
 
 import (
 	"aquila/internal/gcl"
-	"aquila/internal/obs"
 	"aquila/internal/smt"
 )
 
@@ -28,9 +27,9 @@ import (
 // condition Unsat (the assertion holds). The converse does not hold: D
 // alone may be unsatisfiable (e.g. unreachable-branch constraints), so a
 // Sat slice must be confirmed on the full condition before reporting a
-// violation. The check drivers do that with a plain fresh solver, which
-// also keeps counterexample models byte-identical to the unsliced
-// baseline.
+// violation. Session.recheck does that with a plain fresh solver, which
+// also keeps counterexample models byte-identical to the unsliced fresh
+// engine.
 //
 // Factorizations and per-conjunct variable supports are memoized by term
 // ID: assertions in one program share long path prefixes in the
@@ -41,12 +40,6 @@ type slicer struct {
 	memo    map[int][]*smt.Term // term ID -> equivalent conjunct list
 	support map[int][]int       // conjunct term ID -> free-variable term IDs
 
-	// journal records every key inserted into memo or support, in insertion
-	// order, so the streaming engine's purge can find (and drop) exactly the
-	// entries that reference terms past its arena watermark without scanning
-	// the whole maps.
-	journal []int
-
 	// Conjuncts and Dropped total the factored conjuncts seen and removed
 	// across all sliced assertions.
 	Conjuncts int64
@@ -55,29 +48,6 @@ type slicer struct {
 
 func newSlicer(ctx *smt.Ctx) *slicer {
 	return &slicer{ctx: ctx, memo: map[int][]*smt.Term{}, support: map[int][]int{}}
-}
-
-// sliceConds fills checkConds with the cone-of-influence slice of every
-// violation condition, records the totals in the report stats, and
-// publishes them to the metrics registry. It creates terms, so it must run
-// serially before the context freezes; both find-all engines call it as
-// their first phase when Options.Slice is set.
-func (rep *Report) sliceConds(opts Options, conds []*gcl.Violation, checkConds []*smt.Term) {
-	o := opts.Observer()
-	endSlice := o.Phase(0, "slice")
-	sl := newSlicer(rep.Ctx)
-	for i, v := range conds {
-		c0, d0 := sl.Conjuncts, sl.Dropped
-		checkConds[i] = sl.slice(v)
-		rep.hists.observeSlice(sl.Conjuncts-c0, sl.Dropped-d0)
-	}
-	endSlice()
-	rep.Stats.SliceConjuncts = sl.Conjuncts
-	rep.Stats.SliceDropped = sl.Dropped
-	if o != nil && o.Metrics != nil {
-		o.Metrics.Counter(obs.CtrVerifySliceDropped).Add(sl.Dropped)
-	}
-	o.Event("slice", map[string]any{"conjuncts": sl.Conjuncts, "dropped": sl.Dropped})
 }
 
 // flattenAnd splits t's And-tree into its non-And leaves, left to right.
@@ -136,45 +106,7 @@ func (sl *slicer) conjuncts(t *smt.Term) []*smt.Term {
 		out = []*smt.Term{t}
 	}
 	sl.memo[t.ID] = out
-	sl.journal = append(sl.journal, t.ID)
 	return out
-}
-
-// purge drops memoized entries that are keyed by — or whose values
-// reference — terms at or past the arena watermark mark, before the
-// streaming engine releases those terms (term IDs are reused afterwards,
-// so a stale entry would alias a future term). Entries whose key and
-// values all predate the watermark survive: the watermark never moves
-// during a streaming run, so the shared-prefix factorizations that make
-// slicing cheap stay memoized across every assertion.
-func (sl *slicer) purge(mark int) {
-	keep := sl.journal[:0]
-	for _, k := range sl.journal {
-		stale := k >= mark
-		if !stale {
-			for _, c := range sl.memo[k] {
-				if c.ID >= mark {
-					stale = true
-					break
-				}
-			}
-		}
-		if !stale {
-			for _, id := range sl.support[k] {
-				if id >= mark {
-					stale = true
-					break
-				}
-			}
-		}
-		if stale {
-			delete(sl.memo, k)
-			delete(sl.support, k)
-		} else {
-			keep = append(keep, k)
-		}
-	}
-	sl.journal = keep
 }
 
 // factorDisjunction factors the conjuncts common to every disjunct out of
@@ -235,7 +167,6 @@ func (sl *slicer) vars(t *smt.Term) []int {
 		ids[i] = v.ID
 	}
 	sl.support[t.ID] = ids
-	sl.journal = append(sl.journal, t.ID)
 	return ids
 }
 

@@ -35,120 +35,26 @@ type Options struct {
 	// Budget bounds SAT conflicts per check (<=0: unlimited). Exhaustion
 	// is reported as ErrBudget.
 	Budget int64
-	// Slice enables per-assertion cone-of-influence slicing in find-all
-	// modes: VC conjuncts whose free variables cannot reach the assertion's
-	// checked condition are dropped before blasting. An Unsat slice soundly
-	// proves the assertion holds; a Sat slice is confirmed on the full
-	// condition by a plain fresh solver, so canonical reports stay
-	// byte-identical to unsliced mode. Ignored in find-first mode, which
-	// solves one disjunction over all assertions.
-	Slice bool
-	// Stream makes find-all fresh-solver runs release transient terms as
-	// they go: each assertion is sliced, checked, and consumed one at a
-	// time, and the term arena is rolled back to a pre-slicing watermark
-	// once enough per-assertion slice terms have accumulated — so peak term
-	// memory is bounded by the VC plus one assertion's transients instead
-	// of growing with the whole run. Verdicts and canonical reports are
-	// byte-identical to plain fresh mode. Forces the serial path (a frozen
-	// shared context cannot release); ignored in find-first mode, which has
-	// no transient per-assertion terms to shed.
-	Stream bool
 	// Parallel is the number of worker goroutines for find-all checks and
 	// localization re-checks: 0 means runtime.GOMAXPROCS(0), 1 forces the
 	// serial path. Reports are byte-identical at every setting: each
 	// assertion is checked by a deterministic fresh solver over the shared
 	// frozen term DAG, and results are aggregated in assertion order.
+	// NewSession ignores it: the session engine is serial.
 	Parallel int
-	// Schedule selects the find-all work-distribution strategy:
-	// ScheduleStatic (the default) or ScheduleSteal, the work-stealing
-	// scheduler (scheduler.go). Canonical reports are byte-identical
-	// across schedules; steal mode is incompatible with Stream.
-	Schedule Schedule
-	// Session marks the options as driving a warm delta re-verification
-	// session (session.go / the -churn CLI mode). The session engine is
-	// serial by construction — it keeps one term context, one persistent
-	// slicer, and one warm shared solver alive across table deltas — so
-	// it requires find-all mode and rejects every engine that freezes or
-	// releases the context. NewSession sets it; the CLIs set it for flag
-	// validation before the session is built.
-	Session bool
 	// Cancel, when non-nil, is a cooperative cancellation token installed
-	// on every checking solver of every engine (newSolver): storing true
-	// makes in-flight and future checks return Unknown at the solver's
-	// next poll, which the driver reports as ErrBudget exactly like
-	// conflict-budget exhaustion. aquila-serve maps per-request
-	// verification deadlines onto it. nil (the default) installs nothing
-	// and leaves verdicts and canonical report bytes untouched.
+	// on every checking solver (newSolver): storing true makes in-flight
+	// and future checks return Unknown at the solver's next poll, which
+	// the driver reports as ErrBudget exactly like conflict-budget
+	// exhaustion. aquila-serve maps per-request verification deadlines
+	// onto it. nil (the default) installs nothing and leaves verdicts and
+	// canonical report bytes untouched.
 	Cancel *atomic.Bool
 	// Obs attaches observability sinks (tracer, metrics, structured log).
 	// nil falls back to the process default (set by the CLIs); when that is
 	// also nil every hook is a nil-check with no measurable overhead, and
 	// attaching sinks never changes verdicts or canonical report bytes.
 	Obs *obs.Obs
-}
-
-// Schedule selects the find-all work-distribution strategy.
-type Schedule int
-
-const (
-	// ScheduleStatic is the default: fresh checks fan out via dynamic
-	// atomic-counter assignment (ForEachWorker).
-	ScheduleStatic Schedule = iota
-	// ScheduleSteal routes checks through the work-stealing scheduler:
-	// per-worker queues seeded largest-first from the static shard split;
-	// a worker whose queue drains steals the largest remaining item from
-	// the other queues.
-	ScheduleSteal
-)
-
-func (s Schedule) String() string {
-	if s == ScheduleSteal {
-		return "steal"
-	}
-	return "static"
-}
-
-// ParseSchedule maps the CLI -schedule flag values to a Schedule.
-func ParseSchedule(s string) (Schedule, error) {
-	switch s {
-	case "", "static":
-		return ScheduleStatic, nil
-	case "steal":
-		return ScheduleSteal, nil
-	}
-	return 0, fmt.Errorf("verify: unknown schedule %q (want static or steal)", s)
-}
-
-// Validate rejects incompatible engine combinations up front, with an
-// error naming the conflict, instead of one mode silently winning. Run and
-// RunWithEnv call it, so every CLI inherits the same rejections.
-func (o Options) Validate() error {
-	if o.Stream {
-		if o.Parallel > 1 {
-			return fmt.Errorf("verify: -stream is incompatible with -parallel %d (streaming releases terms from the arena, which a frozen shared context cannot do; use -parallel 1)", o.Parallel)
-		}
-		if o.Schedule == ScheduleSteal {
-			return fmt.Errorf("verify: -stream is incompatible with -schedule steal (streaming is single-worker by construction)")
-		}
-	}
-	if o.Schedule == ScheduleSteal && !o.FindAll {
-		return fmt.Errorf("verify: -schedule steal requires find-all mode (-all); find-first is a single query")
-	}
-	if o.Session {
-		if !o.FindAll {
-			return fmt.Errorf("verify: -churn requires find-all mode (-all); the session engine replays and rechecks assertions one by one")
-		}
-		if o.Stream {
-			return fmt.Errorf("verify: -churn is incompatible with -stream (streaming releases terms the session's caches and warm solver still reference)")
-		}
-		if o.Schedule == ScheduleSteal {
-			return fmt.Errorf("verify: -churn is incompatible with -schedule steal (the session engine is serial by construction)")
-		}
-		if o.Parallel > 1 {
-			return fmt.Errorf("verify: -churn is incompatible with -parallel %d (a frozen shared context cannot re-encode deltas; use -parallel 1)", o.Parallel)
-		}
-	}
-	return nil
 }
 
 // Observer resolves the effective sink: the explicit Options.Obs, else the
@@ -242,17 +148,11 @@ type Stats struct {
 	// Workers is the effective worker count of the solving phase.
 	Workers int
 
-	// PrefixClauses is the Tseitin cost of each steal owner's largest
-	// check summed over owners — the "blast once" part of the run,
-	// dominated by the shared VC prefix. Later owned checks pay only their
-	// per-assertion delta. Zero outside the steal scheduler.
-	PrefixClauses int64
-
 	// SAT-core search totals, summed across the same solver instances as
 	// CNFClauses/SATVars. In fresh mode these are deterministic for a
 	// given formula at every worker count (every check runs a
-	// deterministic fresh solver); under the steal scheduler and in
-	// sessions they depend on which checks shared a solver.
+	// deterministic fresh solver); in sessions they depend on which checks
+	// shared the warm solver.
 	Conflicts     int64
 	Decisions     int64
 	Propagations  int64
@@ -268,22 +168,10 @@ type Stats struct {
 	BlastHits      int64
 
 	// SliceConjuncts and SliceDropped count the VC conjuncts seen and
-	// removed by cone-of-influence slicing (zero with Options.Slice off).
+	// removed by cone-of-influence slicing (zero outside sessions, the
+	// only engine that slices).
 	SliceConjuncts int64
 	SliceDropped   int64
-
-	// Stream records whether the run released transient terms as it went;
-	// StreamReleases counts arena rollbacks and ReleasedTerms the terms
-	// they discarded (all zero with Options.Stream off).
-	Stream         bool
-	StreamReleases int64
-	ReleasedTerms  int64
-
-	// Schedule names the find-all scheduler when it is not the static
-	// default ("steal"); Steals counts checks executed by a worker other
-	// than their static owner (zero with static scheduling).
-	Schedule string
-	Steals   int64
 
 	// DeltaReuse and DeltaRecheck are the session engine's per-Apply
 	// split: assertions whose verdict was replayed from the session cache
@@ -448,9 +336,6 @@ func Run(prog *p4.Program, snap *tables.Snapshot, spec *lpi.Spec, opts Options) 
 // RunWithEnv verifies with a caller-provided context and environment
 // (used by localization to re-encode variants of the same program).
 func RunWithEnv(ctx *smt.Ctx, env *encode.Env, spec *lpi.Spec, opts Options) (*Report, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
 	o := opts.Observer()
 	// Intern stats are cumulative on the (possibly reused) context; publish
 	// only this run's delta to the registry.
@@ -506,9 +391,6 @@ func RunWithEnv(ctx *smt.Ctx, env *encode.Env, spec *lpi.Spec, opts Options) (*R
 		o.Metrics.Counter(obs.CtrSMTFrozenLocks).Add(f1 - frozen0)
 		o.Metrics.Gauge(obs.GaugeTermNodes).Set(int64(rep.Stats.TermNodes))
 		o.Metrics.Gauge(obs.GaugeVerifyWorkers).Set(int64(rep.Stats.Workers))
-		if rep.Stats.Schedule == "steal" {
-			o.Metrics.Counter(obs.CtrVerifySteals).Add(rep.Stats.Steals)
-		}
 	}
 	return rep, err
 }
@@ -529,12 +411,6 @@ func (rep *Report) check(opts Options) error {
 	if !opts.FindAll {
 		return rep.checkFirst(opts)
 	}
-	if opts.Stream {
-		return rep.checkAllStream(opts)
-	}
-	if opts.Schedule == ScheduleSteal {
-		return rep.checkAllSteal(opts)
-	}
 	return rep.checkAll(opts)
 }
 
@@ -552,99 +428,64 @@ func (o Options) newSolver(ctx *smt.Ctx) *smt.Solver {
 	return s
 }
 
-// checkOne is the find-all unit of work: check one (possibly sliced)
-// condition with a deterministic fresh solver. A Sat on a sliced
-// condition is confirmed on the ORIGINAL condition by a second fresh
-// solver, so verdicts and counterexamples match the baseline
-// byte-for-byte: a sliced Sat with a full-condition Unsat means the
-// dropped (variable-disjoint) remainder was unsatisfiable on its own —
-// the assertion holds, exactly the unsliced verdict. The re-check's cost
-// is folded into the assertion's stats.
-func (rep *Report) checkOne(opts Options, v *gcl.Violation, checkCond *smt.Term, worker int) (st smt.Status, model *smt.Model, ss smt.SolverStats, cpu time.Duration) {
-	o := opts.Observer()
+// checkOne is the find-all unit of work: check one condition with a
+// deterministic fresh solver, reading a model back when it is violated.
+func (rep *Report) checkOne(opts Options, v *gcl.Violation, worker int) (st smt.Status, model *smt.Model, ss smt.SolverStats, cpu time.Duration) {
 	solver := opts.newSolver(rep.Ctx)
-	installProgress(o, solver, v.Label, worker)
+	installProgress(opts.Observer(), solver, v.Label, worker)
 	t0 := time.Now()
-	st = solver.Check(checkCond)
+	st = solver.Check(v.Cond)
 	cpu = time.Since(t0)
 	ss = solver.SolverStats()
-	if st != smt.Sat {
-		return
-	}
-	if checkCond != v.Cond {
-		s2 := opts.newSolver(rep.Ctx)
-		installProgress(o, s2, v.Label, worker)
-		t1 := time.Now()
-		st2 := s2.Check(v.Cond)
-		cpu += time.Since(t1)
-		ss = addStats(ss, s2.SolverStats())
-		st = st2
-		if st2 == smt.Sat {
-			m := s2.Model()
-			s2.ModelCollect(m, v.Cond)
-			model = m
-		}
-		return
-	}
-	m := solver.Model()
-	solver.ModelCollect(m, v.Cond)
-	model = m
-	return
-}
-
-// checkOneShared is the shared-solver unit of work of the steal
-// scheduler's owners and of the session engine: check one (possibly
-// sliced) condition on a long-lived solver via an activation literal,
-// then make the verdict canonical exactly as fresh mode would — a Sat is
-// re-solved on the ORIGINAL condition by a deterministic fresh solver, a
-// sliced Sat whose full condition is Unsat becomes Unsat (the dropped,
-// variable-disjoint remainder was unsatisfiable on its own), and a
-// contradicting re-check surfaces as Unknown rather than fabricating a
-// model. prev is the shared solver's rolling stats snapshot; ss is this
-// check's delta including any re-check cost, while sharedTseitin is the
-// delta's Tseitin clauses alone (the steal owners' prefix accounting must
-// not see the fresh re-solve's blast).
-func (rep *Report) checkOneShared(opts Options, v *gcl.Violation, checkCond *smt.Term, worker int, solver *smt.Solver, prev *smt.SolverStats) (st smt.Status, model *smt.Model, ss smt.SolverStats, cpu time.Duration, sharedTseitin int64) {
-	o := opts.Observer()
-	installProgress(o, solver, v.Label, worker)
-	t0 := time.Now()
-	lit := solver.Indicator(checkCond)
-	st = solver.CheckLits(lit)
-	cpu = time.Since(t0)
-	cur := solver.SolverStats()
-	ss = statsDelta(cur, *prev)
-	*prev = cur
-	sharedTseitin = ss.TseitinClauses
-	if st != smt.Sat {
-		return
-	}
-	s2 := opts.newSolver(rep.Ctx)
-	installProgress(o, s2, v.Label, worker)
-	t1 := time.Now()
-	st2 := s2.Check(v.Cond)
-	cpu += time.Since(t1)
-	ss = addStats(ss, s2.SolverStats())
-	switch {
-	case st2 == smt.Sat:
-		m := s2.Model()
-		s2.ModelCollect(m, v.Cond)
-		model = m
-	case st2 == smt.Unsat && opts.Slice:
-		st = smt.Unsat
-	default:
-		st = smt.Unknown
+	if st == smt.Sat {
+		model = solver.Model()
+		solver.ModelCollect(model, v.Cond)
 	}
 	return
 }
 
-// checkOut is one assertion's result slot in the find-all engines.
+// checkOut is one assertion's result slot in the find-all engine.
 type checkOut struct {
 	done   bool
-	stolen bool // executed by a worker other than its static owner
 	status smt.Status
 	model  *smt.Model
 	ss     smt.SolverStats
 	cpu    time.Duration
+}
+
+// recordAssertion consumes one find-all verdict into the report: its cost
+// joins the run totals and the PerAssertion breakdown, the "assertion"
+// event is logged, and viol (non-nil iff st is Sat) joins the violations.
+// An Unknown verdict logs "budget_exhausted" and returns ErrBudget, which
+// ends the caller's in-order consume loop. The fresh engine and sessions
+// both consume through here, so their reports agree row for row.
+func (rep *Report) recordAssertion(o *obs.Obs, budget int64, label string, st smt.Status, ss smt.SolverStats, cpu time.Duration, viol *Violation) error {
+	rep.Stats.SolveCPU += cpu
+	rep.Stats.addSolver(ss)
+	rep.Stats.PerAssertion = append(rep.Stats.PerAssertion, AssertionCost{
+		Label:        label,
+		Status:       statusString(st),
+		SolveTime:    cpu,
+		Conflicts:    ss.Conflicts,
+		Decisions:    ss.Decisions,
+		Propagations: ss.Propagations,
+		Restarts:     ss.Restarts,
+		CNFClauses:   ss.Clauses,
+		SATVars:      ss.SATVars,
+	})
+	o.Event("assertion", map[string]any{
+		"label": label, "status": statusString(st),
+		"solve_us": cpu.Microseconds(), "conflicts": ss.Conflicts,
+		"clauses": ss.Clauses,
+	})
+	if st == smt.Unknown {
+		o.Event("budget_exhausted", map[string]any{"label": label, "budget": budget})
+		return ErrBudget
+	}
+	if viol != nil {
+		rep.Violations = append(rep.Violations, viol)
+	}
+	return nil
 }
 
 // checkFirst runs the §8.1 find-first mode: one query over the disjunction
@@ -745,18 +586,6 @@ func (rep *Report) checkAll(opts Options) error {
 	}
 	rep.Stats.Workers = workers
 	o := opts.Observer()
-
-	// Cone-of-influence slices are computed serially before the context may
-	// freeze (slicing creates terms). With the flag off every checkCond is
-	// the original condition and the paths below are unchanged.
-	checkConds := make([]*smt.Term, n)
-	for i, v := range conds {
-		checkConds[i] = v.Cond
-	}
-	if opts.Slice {
-		rep.sliceConds(opts, conds, checkConds)
-	}
-
 	outs := make([]checkOut, n)
 
 	// limit is the lowest assertion index seen to exhaust the budget;
@@ -767,7 +596,7 @@ func (rep *Report) checkAll(opts Options) error {
 		v := conds[i]
 		endSpan := o.Span(worker, "solve:"+v.Label)
 		out := &outs[i]
-		out.status, out.model, out.ss, out.cpu = rep.checkOne(opts, v, checkConds[i], worker)
+		out.status, out.model, out.ss, out.cpu = rep.checkOne(opts, v, worker)
 		endSpan()
 		rep.recordCheck(o, v.Label, worker, out.ss, out.status, out.cpu)
 		out.done = true
@@ -804,66 +633,20 @@ func (rep *Report) checkAll(opts Options) error {
 	// inline here, so the consumed prefix is identical at every Parallel
 	// setting: violations up to the first budget-exhausted check. Inline
 	// re-runs use worker/tid 0 (the consume loop runs on the caller).
-	var err error
 	for i, v := range conds {
 		if !outs[i].done {
 			runCheck(0, i)
 		}
 		out := &outs[i]
-		rep.Stats.SolveCPU += out.cpu
-		rep.Stats.addSolver(out.ss)
-		rep.Stats.PerAssertion = append(rep.Stats.PerAssertion, AssertionCost{
-			Label:        v.Label,
-			Status:       statusString(out.status),
-			SolveTime:    out.cpu,
-			Conflicts:    out.ss.Conflicts,
-			Decisions:    out.ss.Decisions,
-			Propagations: out.ss.Propagations,
-			Restarts:     out.ss.Restarts,
-			CNFClauses:   out.ss.Clauses,
-			SATVars:      out.ss.SATVars,
-		})
-		o.Event("assertion", map[string]any{
-			"label": v.Label, "status": statusString(out.status),
-			"solve_us": out.cpu.Microseconds(), "conflicts": out.ss.Conflicts,
-			"clauses": out.ss.Clauses,
-		})
-		if out.status == smt.Unknown {
-			o.Event("budget_exhausted", map[string]any{
-				"label": v.Label, "budget": opts.Budget,
-			})
-			err = ErrBudget
-			break
-		}
+		var viol *Violation
 		if out.status == smt.Sat {
-			rep.Violations = append(rep.Violations, rep.makeViolation(v, out.model))
+			viol = rep.makeViolation(v, out.model)
+		}
+		if err := rep.recordAssertion(o, opts.Budget, v.Label, out.status, out.ss, out.cpu, viol); err != nil {
+			return err
 		}
 	}
-	return err
-}
-
-// StaticShards partitions indices 0..n-1 into `shards` slices by index
-// modulo: shard s owns s, s+shards, s+2*shards, ... in ascending order.
-// Unlike the dynamic scheduling of ForEachWorker, the assignment depends
-// only on (shards, n), so the steal scheduler's initial per-worker queues
-// are a pure function of the run. With n <= 0 it returns no shards at
-// all: an empty shard would still give its owner a queue to drain for
-// zero checks, so callers must get nothing to iterate instead.
-func StaticShards(shards, n int) [][]int {
-	if n <= 0 {
-		return nil
-	}
-	if shards > n {
-		shards = n
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	out := make([][]int, shards)
-	for i := 0; i < n; i++ {
-		out[i%shards] = append(out[i%shards], i)
-	}
-	return out
+	return nil
 }
 
 func (rep *Report) makeViolation(v *gcl.Violation, m *smt.Model) *Violation {
@@ -988,17 +771,9 @@ func (rep *Report) String() string {
 		fmt.Fprintf(&b, "slice: %d of %d VC conjuncts dropped\n",
 			rep.Stats.SliceDropped, rep.Stats.SliceConjuncts)
 	}
-	if rep.Stats.Stream {
-		fmt.Fprintf(&b, "strm:  %d arena releases, %d transient terms discarded\n",
-			rep.Stats.StreamReleases, rep.Stats.ReleasedTerms)
-	}
 	if rep.Stats.DeltaReuse+rep.Stats.DeltaRecheck > 0 {
 		fmt.Fprintf(&b, "delta: %d verdicts replayed, %d rechecked\n",
 			rep.Stats.DeltaReuse, rep.Stats.DeltaRecheck)
-	}
-	if rep.Stats.Schedule != "" {
-		fmt.Fprintf(&b, "sched: %s scheduling, %d steals\n",
-			rep.Stats.Schedule, rep.Stats.Steals)
 	}
 	return b.String()
 }
@@ -1042,25 +817,13 @@ type JSONStats struct {
 	LearntLits    int64 `json:"learnt_literals"`
 
 	// Blast and learnt-database extras (absent in canonical reports).
-	PrefixClauses  int64 `json:"prefix_clauses,omitempty"`
 	TseitinClauses int64 `json:"tseitin_clauses,omitempty"`
 	BlastHits      int64 `json:"blast_cache_hits,omitempty"`
 	LearntDeleted  int64 `json:"learnt_deleted,omitempty"`
 
-	// Slicing extras (absent with the pass off and in canonical reports).
+	// Slicing extras (absent outside sessions and in canonical reports).
 	SliceConjuncts int64 `json:"slice_conjuncts,omitempty"`
 	SliceDropped   int64 `json:"slice_dropped,omitempty"`
-
-	// Streaming-mode extras (absent with the mode off and in canonical
-	// reports).
-	Stream         bool  `json:"stream,omitempty"`
-	StreamReleases int64 `json:"stream_releases,omitempty"`
-	ReleasedTerms  int64 `json:"released_terms,omitempty"`
-
-	// Scheduler extras (absent with static scheduling and in canonical
-	// reports).
-	Schedule string `json:"schedule,omitempty"`
-	Steals   int64  `json:"steals,omitempty"`
 
 	// Session-engine extras (absent outside Session.Apply reports and in
 	// canonical reports).
@@ -1115,20 +878,12 @@ func (rep *Report) JSON() ([]byte, error) {
 			LearntClauses: rep.Stats.LearntClauses,
 			LearntLits:    rep.Stats.LearntLits,
 
-			PrefixClauses:  rep.Stats.PrefixClauses,
 			TseitinClauses: rep.Stats.TseitinClauses,
 			BlastHits:      rep.Stats.BlastHits,
 			LearntDeleted:  rep.Stats.LearntDeleted,
 
 			SliceConjuncts: rep.Stats.SliceConjuncts,
 			SliceDropped:   rep.Stats.SliceDropped,
-
-			Stream:         rep.Stats.Stream,
-			StreamReleases: rep.Stats.StreamReleases,
-			ReleasedTerms:  rep.Stats.ReleasedTerms,
-
-			Schedule: rep.Stats.Schedule,
-			Steals:   rep.Stats.Steals,
 
 			DeltaReuse:   rep.Stats.DeltaReuse,
 			DeltaRecheck: rep.Stats.DeltaRecheck,
@@ -1174,9 +929,9 @@ func (rep *Report) JSON() ([]byte, error) {
 // GCL size — is the *semantic* outcome of verification, which is
 // deterministic across runs, across Parallel settings, with or without
 // observability sinks, and (the shared-solver contract) identical between
-// the fresh engine, the steal scheduler and sessions: two canonical
-// reports of the same verification problem compare byte-for-byte. Cost
-// counters are deliberately excluded because solver sharing changes them
+// the fresh engine and sessions: two canonical reports of the same
+// verification problem compare byte-for-byte. Cost counters are
+// deliberately excluded because the session's warm solver changes them
 // — that is the optimization, not a behavioural difference; the raw
 // JSON() report keeps them all.
 func (rep *Report) CanonicalJSON() ([]byte, error) {
@@ -1196,14 +951,8 @@ func (rep *Report) CanonicalJSON() ([]byte, error) {
 	canon.Stats.LearntDeleted = 0
 	canon.Stats.TseitinClauses = 0
 	canon.Stats.BlastHits = 0
-	canon.Stats.PrefixClauses = 0
 	canon.Stats.SliceConjuncts = 0
 	canon.Stats.SliceDropped = 0
-	canon.Stats.Stream = false
-	canon.Stats.StreamReleases = 0
-	canon.Stats.ReleasedTerms = 0
-	canon.Stats.Schedule = ""
-	canon.Stats.Steals = 0
 	canon.Stats.DeltaReuse = 0
 	canon.Stats.DeltaRecheck = 0
 	canon.Stats.Histograms = nil
