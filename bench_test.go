@@ -319,11 +319,12 @@ func BenchmarkObsOverhead(b *testing.B) {
 }
 
 // BenchmarkVerifyDCGateway_Allocs is the allocation benchmark CI gates
-// on: an end-to-end find-all verification of the DC Gateway on the
-// serial fresh engine. Run with -benchmem; the allocs/op column is the
-// number the term-arena / flat-clause-DB work exists to shrink, and the
-// scale campaign's CompareScale holds it within 20% of the checked-in
-// BENCH_scale.json anchor row.
+// on: an end-to-end serial find-all verification of the DC Gateway, one
+// solver reset to its fresh state per assertion. Run with -benchmem; the
+// allocs/op column is the number the term-arena / flat-clause-DB work
+// exists to shrink, and the scale campaign's CompareScale holds it within
+// 20% of the checked-in BENCH_scale.json anchor row. B/op is what solver
+// reuse shrinks; CI fails it above 2x the figure EXPERIMENTS.md records.
 func BenchmarkVerifyDCGateway_Allocs(b *testing.B) {
 	b.ReportAllocs()
 	bm := progs.DCGatewayBench()

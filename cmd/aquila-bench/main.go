@@ -69,9 +69,9 @@ func mainRun() int {
 		churnEnt   = flag.Int("churn-entries", 64, "churn: installed entries in the churned ECMP table")
 		churnN     = flag.Int("churn-deltas", 8, "churn: steady-state deltas measured (after 2 warmups)")
 		churnOut   = flag.String("churn-out", "BENCH_churn.json", "churn-experiment JSON output file (empty: stdout table only)")
-		churnCmp   = flag.String("compare-churn", "", "churn only: reference BENCH_churn.json; exit non-zero on byte-identity break, <5x steady-state speedup, or >50% relative regression")
+		churnCmp   = flag.String("compare-churn", "", "churn only: reference BENCH_churn.json; exit non-zero on byte-identity break, steady-state speedup below bench.SessionSpeedupFloor, or >50% relative regression")
 		serveOut   = flag.String("serve-out", "BENCH_serve.json", "serve-experiment JSON output file (empty: stdout table only)")
-		serveCmp   = flag.String("compare-serve", "", "serve only: reference BENCH_serve.json; exit non-zero on byte-identity break, <5x steady-state speedup, or >50% relative regression")
+		serveCmp   = flag.String("compare-serve", "", "serve only: reference BENCH_serve.json; exit non-zero on byte-identity break, steady-state speedup below bench.SessionSpeedupFloor, or >50% relative regression")
 		scaleOut   = flag.String("scale-out", "BENCH_scale.json", "scale-campaign JSON output file (empty: stdout table only)")
 		scaleCmp   = flag.String("compare-scale", "", "scale only: reference BENCH_scale.json; exit non-zero on >20% relative regression")
 		obsOut     = flag.String("obs-out", "BENCH_obs.json", "obs-experiment JSON output file (empty or -quick: stdout table only)")

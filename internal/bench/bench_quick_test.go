@@ -289,9 +289,9 @@ func TestChurnQuick(t *testing.T) {
 		t.Fatal("byte-identity break not flagged")
 	}
 	slow := ok
-	slow.Speedup = 4.2
+	slow.Speedup = 0.8 * SessionSpeedupFloor
 	if err := CompareChurn(&ok, &slow); err == nil {
-		t.Fatal("speedup below the 5x bar not flagged")
+		t.Fatal("speedup below the SessionSpeedupFloor bar not flagged")
 	}
 	tight := ok
 	tight.RelWall = ok.RelWall / 10

@@ -186,8 +186,8 @@ func Serve(entries, warmup, steady int) (*ServeResult, error) {
 // CompareServe checks a fresh serve run against a checked-in reference.
 // Byte identity is absolute: every HTTP response must match its fresh
 // run. The performance gate mirrors CompareChurn — the HTTP layer must
-// preserve the >= 5x steady-state amortization bar (RelWall <= 0.2),
-// with a 50% noise-tolerant reference-relative backstop on RelWall.
+// preserve the SessionSpeedupFloor steady-state amortization bar, with a
+// 50% noise-tolerant reference-relative backstop on RelWall.
 func CompareServe(ref, cur *ServeResult) error {
 	const slack = 1.50
 	var problems []string
@@ -197,9 +197,9 @@ func CompareServe(ref, cur *ServeResult) error {
 				"delta %d (%s): HTTP response differs from fresh verification", i, row.Delta))
 		}
 	}
-	if cur.Speedup < 5 {
+	if cur.Speedup < SessionSpeedupFloor {
 		problems = append(problems, fmt.Sprintf(
-			"steady-state speedup %.2fx below the 5x acceptance bar", cur.Speedup))
+			"steady-state speedup %.2fx below the %gx acceptance bar", cur.Speedup, SessionSpeedupFloor))
 	}
 	if ref.RelWall > 0 && cur.RelWall > ref.RelWall*slack {
 		problems = append(problems, fmt.Sprintf(

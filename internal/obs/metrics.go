@@ -10,7 +10,8 @@ import (
 // Counters accumulate across every solver instance of a run; gauges hold
 // the latest value.
 const (
-	// SAT core (per-solve work, summed over all fresh solver instances).
+	// SAT core (per-solve work, summed over every check, each on a solver
+	// reset to its fresh state).
 	CtrSATConflicts     = "sat.conflicts"
 	CtrSATDecisions     = "sat.decisions"
 	CtrSATPropagations  = "sat.propagations"

@@ -105,7 +105,7 @@ type varData struct {
 }
 
 // Solver is a CDCL SAT solver. The zero value is not usable; construct with
-// New.
+// New, or call Reset on it.
 type Solver struct {
 	ca      clauseAlloc
 	clauses []cref // problem clauses
@@ -128,7 +128,6 @@ type Solver struct {
 
 	seen      []byte
 	analyzeTo []Lit
-	minStack  []Lit
 
 	// Reused hot-path scratch: clause dedup in AddClause, the learnt
 	// clause under construction in analyze, level stamps for LBD, and the
@@ -148,8 +147,9 @@ type Solver struct {
 	model       []lbool // snapshot of the last satisfying assignment
 
 	// Stats. Plain fields, not atomics: a solver instance is
-	// single-goroutine; parallel verification gives every check a fresh
-	// solver and folds these into the observability registry afterwards.
+	// single-goroutine; parallel verification gives every worker its own
+	// solver, reset to its fresh state per check, and folds these into the
+	// observability registry afterwards.
 	Conflicts    int64
 	Decisions    int64
 	Propagations int64
@@ -187,14 +187,54 @@ type Solver struct {
 
 // New returns an empty solver.
 func New() *Solver {
-	return &Solver{
-		varInc:     1.0,
-		clauseInc:  1.0,
-		ok:         true,
-		budget:     -1,
-		budgetLim:  -1,
-		maxLearnts: 4000,
-		learntCap:  defaultLearntCap,
+	s := new(Solver)
+	s.Reset()
+	return s
+}
+
+// Reset returns the solver to the state New produces — no variables, no
+// clauses, zeroed counters, no budget, cancellation token or progress
+// hook — while keeping the backing arrays of its clause arena, per-variable
+// arrays, watch lists and scratch buffers, so re-filling a reset solver
+// does not regrow them. A reset solver numbers variables, orders clauses
+// and breaks heap ties exactly like a new one, so it reaches the same
+// verdicts, models and counters.
+//
+// The state is rebuilt as one composite literal: a field not named below
+// gets its zero value, the same as a new solver's.
+func (s *Solver) Reset() {
+	*s = Solver{
+		ca:      clauseAlloc{data: s.ca.data[:0]},
+		clauses: s.clauses[:0],
+		learnts: s.learnts[:0],
+		// The watch lists stay in the backing array past the new length;
+		// NewVar truncates and hands them out again. The slab stays as it
+		// is: rewinding it would alias the backings those lists still own.
+		watches:     s.watches[:0],
+		wslab:       s.wslab,
+		assigns:     s.assigns[:0],
+		vardata:     s.vardata[:0],
+		polarity:    s.polarity[:0],
+		activity:    s.activity[:0],
+		varInc:      1.0,
+		order:       heap{data: s.order.data[:0], pos: s.order.pos[:0]},
+		trail:       s.trail[:0],
+		trailLim:    s.trailLim[:0],
+		seen:        s.seen[:0],
+		analyzeTo:   s.analyzeTo[:0],
+		addBuf:      s.addBuf[:0],
+		learntBuf:   s.learntBuf[:0],
+		lbdSeen:     s.lbdSeen[:0],
+		actBuf:      s.actBuf[:0],
+		clauseInc:   1.0,
+		ok:          true,
+		assumptions: s.assumptions[:0],
+		conflictSet: s.conflictSet[:0],
+		model:       s.model[:0],
+		maxLearnts:  4000,
+		learntCap:   defaultLearntCap,
+		budget:      -1,
+		budgetLim:   -1,
 	}
 }
 
@@ -239,7 +279,13 @@ func (s *Solver) NewVar() int {
 	s.vardata = append(s.vardata, varData{reason: crefUndef})
 	s.polarity = append(s.polarity, true) // default phase false (polarity=negated)
 	s.activity = append(s.activity, 0)
-	s.watches = append(s.watches, nil, nil)
+	if n := len(s.watches); n+2 <= cap(s.watches) {
+		// Reuse the watch lists a Reset left past the length.
+		s.watches = s.watches[:n+2]
+		s.watches[n], s.watches[n+1] = s.watches[n][:0], s.watches[n+1][:0]
+	} else {
+		s.watches = append(s.watches, nil, nil)
+	}
 	s.seen = append(s.seen, 0)
 	s.order.push(s, v)
 	s.numVarsFree++

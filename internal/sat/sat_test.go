@@ -170,8 +170,14 @@ func bruteForce(nVars int, cnf [][]Lit) bool {
 	return false
 }
 
+// TestRandomCNFAgainstBruteForce also solves every instance on one solver
+// reset after the previous instance, then once more under two random
+// assumptions on both solvers: status, model, conflict set and every
+// counter must equal the fresh solver's (stateDiff compares them all).
 func TestRandomCNFAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
+	arng := rand.New(rand.NewSource(43)) // assumptions, off the instance stream
+	reused := New()
 	for iter := 0; iter < 500; iter++ {
 		nVars := 3 + rng.Intn(8)
 		nClauses := 1 + rng.Intn(40)
@@ -214,6 +220,26 @@ func TestRandomCNFAgainstBruteForce(t *testing.T) {
 					t.Fatalf("iter %d: reported model does not satisfy clause %v", iter, cl)
 				}
 			}
+		}
+		reused.Reset()
+		for v := 0; v < nVars; v++ {
+			reused.NewVar()
+		}
+		for _, cl := range cnf {
+			reused.AddClause(cl...)
+		}
+		if st := reused.Solve(); (st == Sat) != got {
+			t.Fatalf("iter %d: reset solver %v, fresh solver sat=%v", iter, st, got)
+		}
+		if d := stateDiff(reused, s); len(d) > 0 {
+			t.Fatalf("iter %d: reset solver differs from fresh in %v", iter, d)
+		}
+		as := []Lit{MkLit(arng.Intn(nVars), arng.Intn(2) == 0), MkLit(arng.Intn(nVars), arng.Intn(2) == 0)}
+		if a, b := s.Solve(as...), reused.Solve(as...); a != b {
+			t.Fatalf("iter %d: under %v fresh %v, reset %v", iter, as, a, b)
+		}
+		if d := stateDiff(reused, s); len(d) > 0 {
+			t.Fatalf("iter %d: under %v reset solver differs from fresh in %v", iter, as, d)
 		}
 	}
 }

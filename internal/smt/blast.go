@@ -31,16 +31,20 @@ func (b *blaster) addClause(lits ...sat.Lit) {
 	b.sat.AddClause(lits...)
 }
 
-func newBlaster(s *sat.Solver) *blaster {
-	b := &blaster{
-		sat:       s,
-		bvCache:   map[int][]sat.Lit{},
-		boolCache: map[int]sat.Lit{},
+// reset empties the blaster over the (just reset) SAT solver s: caches
+// cleared in place, counters zeroed, and the constant-true literal
+// re-created as variable 0.
+func (b *blaster) reset(s *sat.Solver) {
+	bvCache, boolCache := b.bvCache, b.boolCache
+	if bvCache == nil {
+		bvCache, boolCache = map[int][]sat.Lit{}, map[int]sat.Lit{}
 	}
+	clear(bvCache)
+	clear(boolCache)
+	*b = blaster{sat: s, bvCache: bvCache, boolCache: boolCache}
 	v := s.NewVar()
 	b.litTrue = sat.MkLit(v, false)
 	s.AddClause(b.litTrue)
-	return b
 }
 
 func (b *blaster) litFalse() sat.Lit { return b.litTrue.Not() }

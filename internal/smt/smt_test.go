@@ -3,6 +3,7 @@ package smt
 import (
 	"math/big"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -209,7 +210,12 @@ func randTerm(c *Ctx, rng *rand.Rand, vars []*Term, depth int) *Term {
 // TestBlasterAgainstEvaluator is the core soundness property: for random
 // terms t and random concrete inputs, the bit-blasted formula constrained
 // to those inputs must force t to its evaluator value.
+//
+// Every check is also replayed on one solver reset across all seeds (and
+// so across term contexts): its verdicts, SolverStats and models must
+// equal the new solver's.
 func TestBlasterAgainstEvaluator(t *testing.T) {
+	reused := NewSolver(NewCtx())
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		c := NewCtx()
@@ -226,14 +232,17 @@ func TestBlasterAgainstEvaluator(t *testing.T) {
 		want := EvalBV(term, env)
 
 		s := NewSolver(c)
-		s.Assert(c.Eq(x, c.BVBig(xv, w)))
-		s.Assert(c.Eq(y, c.BVBig(yv, w)))
+		reused.Reset(c)
+		for _, sv := range []*Solver{s, reused} {
+			sv.Assert(c.Eq(x, c.BVBig(xv, w)))
+			sv.Assert(c.Eq(y, c.BVBig(yv, w)))
+		}
 		// The term must equal its evaluated value...
-		if s.Check(c.Eq(term, c.BVBig(want, w))) != Sat {
+		if sameCheck(t, s, reused, c.Eq(term, c.BVBig(want, w))) != Sat {
 			return false
 		}
 		// ...and cannot differ from it.
-		return s.Check(c.Neq(term, c.BVBig(want, w))) == Unsat
+		return sameCheck(t, s, reused, c.Neq(term, c.BVBig(want, w))) == Unsat
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
@@ -481,19 +490,51 @@ func min64(a, b uint64) uint64 {
 	return b
 }
 
+// sameCheck checks assumptions on fresh and on reused and fails t unless
+// both give the same verdict, the same SolverStats and, when Sat, the
+// same model. It returns fresh's verdict.
+func sameCheck(t *testing.T, fresh, reused *Solver, assumptions ...*Term) Status {
+	t.Helper()
+	st := fresh.Check(assumptions...)
+	if got := reused.Check(assumptions...); got != st {
+		t.Errorf("reset solver: %v, new solver: %v", got, st)
+	}
+	if a, b := reused.SolverStats(), fresh.SolverStats(); a != b {
+		t.Errorf("reset solver stats %+v, new solver stats %+v", a, b)
+	}
+	if st == Sat {
+		if a, b := reused.Model().Env(), fresh.Model().Env(); !reflect.DeepEqual(a, b) {
+			t.Errorf("reset solver model %v, new solver model %v", a, b)
+		}
+	}
+	return st
+}
+
 // TestSolverStats pins the instrumentation snapshot: blasting a fresh
 // formula misses the per-term caches, emits Tseitin clauses, and the
-// snapshot agrees with the solver's own clause/variable accessors.
+// snapshot agrees with the solver's own clause/variable accessors. The
+// same checks also run on a solver reset after unrelated work on another
+// context, which must match the new solver.
 func TestSolverStats(t *testing.T) {
+	reused := NewSolver(NewCtx())
+	reused.SetBudget(5)
+	reused.Assert(reused.Ctx().Ult(reused.Ctx().Var("z", 16), reused.Ctx().BV(3, 16)))
+	if got := reused.Check(); got != Sat {
+		t.Fatalf("warm-up Check = %v, want Sat", got)
+	}
+
 	c := NewCtx()
 	x := c.Var("x", 8)
 	y := c.Var("y", 8)
 	s := NewSolver(c)
+	reused.Reset(c)
 	sum := c.BVAdd(x, y)
-	s.Assert(c.Eq(sum, c.BV(10, 8)))
-	// Re-use of sum's bits in a second assertion must hit the blast cache.
-	s.Assert(c.Ult(sum, c.BV(200, 8)))
-	if got := s.Check(); got != Sat {
+	for _, sv := range []*Solver{s, reused} {
+		sv.Assert(c.Eq(sum, c.BV(10, 8)))
+		// Re-use of sum's bits in a second assertion must hit the blast cache.
+		sv.Assert(c.Ult(sum, c.BV(200, 8)))
+	}
+	if got := sameCheck(t, s, reused); got != Sat {
 		t.Fatalf("Check = %v, want Sat", got)
 	}
 	ss := s.SolverStats()

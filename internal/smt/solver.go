@@ -25,13 +25,30 @@ type Solver struct {
 	b   *blaster
 
 	asserted []*Term
-	blasted  map[int]bool // variable terms whose bits are allocated
 }
 
 // NewSolver returns a fresh solver over the given term context.
 func NewSolver(ctx *Ctx) *Solver {
-	s := sat.New()
-	return &Solver{ctx: ctx, sat: s, b: newBlaster(s), blasted: map[int]bool{}}
+	s := new(Solver)
+	s.Reset(ctx)
+	return s
+}
+
+// Reset returns the solver to the state NewSolver(ctx) produces: nothing
+// asserted, empty blast caches, zeroed counters, no budget, cancellation
+// token or progress hook. The SAT core's arrays and the cache maps keep
+// their backing storage, so a solver reused across many checks stops
+// regrowing them per check. Variable numbering, clause order and every
+// counter match a new solver's, so verdicts and models do too.
+func (s *Solver) Reset(ctx *Ctx) {
+	if s.sat == nil {
+		s.sat, s.b = new(sat.Solver), new(blaster)
+	}
+	s.sat.Reset()
+	s.ctx = ctx
+	clear(s.asserted)
+	s.asserted = s.asserted[:0]
+	s.b.reset(s.sat)
 }
 
 // Ctx returns the term context the solver operates over.

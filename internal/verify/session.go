@@ -36,8 +36,8 @@ import (
 //
 //   - full condition pointer unchanged, cached verdict Sat or Unsat →
 //     replay the verdict and the cached Violation. The cached model came
-//     from a deterministic fresh solver on this very term, so the bytes
-//     are what a fresh run would produce.
+//     from a solver reset to its fresh state on this very term, so the
+//     bytes are what a fresh run would produce.
 //   - sliced condition pointer unchanged and cached verdict Unsat →
 //     replay Unsat. The slice K and the dropped remainder D have
 //     disjoint variable supports, so Unsat(K) implies Unsat(K ∧ D') for
@@ -46,9 +46,10 @@ import (
 //   - anything else (changed slice, cached Sat under a changed full
 //     condition, cached Unknown) → re-check the slice on the warm shared
 //     solver and make the verdict canonical (recheck): a Sat is
-//     re-solved on the full condition by a deterministic fresh solver, a
-//     sliced Sat whose full condition is Unsat becomes Unsat, a
-//     contradiction surfaces as Unknown.
+//     re-solved on the full condition by a solver reset to its fresh
+//     state, which behaves exactly like a new one, a sliced Sat whose
+//     full condition is Unsat becomes Unsat, a contradiction surfaces as
+//     Unknown.
 //
 // Under those rules every Apply report's CanonicalJSON is byte-identical
 // to a fresh verify.Run on the mutated snapshot, with budget-exhaustion
@@ -243,7 +244,7 @@ func (s *Session) dropSolver() {
 // and after Compact.
 func (s *Session) ensureSolver() *smt.Solver {
 	if s.solver == nil {
-		s.solver = s.opts.newSolver(s.ctx)
+		s.opts.newSolver(s.ctx, &s.solver)
 		s.prev = smt.SolverStats{}
 	}
 	return s.solver
@@ -312,6 +313,9 @@ func (s *Session) run(delta *tables.Delta) (*Report, error) {
 	t1 := time.Now()
 	endSolve := o.Phase(0, "solve")
 	var runErr error
+	// spare is this run's solver for recheck's Sat re-solves, reset
+	// before each one.
+	var spare *smt.Solver
 	for i, v := range conds {
 		ce := &s.cache[i]
 		checkCond := checkConds[i]
@@ -328,7 +332,7 @@ func (s *Session) run(delta *tables.Delta) (*Report, error) {
 				"label": v.Label, "status": statusString(st),
 			})
 		} else {
-			st, model, ss, cpu = s.recheck(o, v, checkCond)
+			st, model, ss, cpu = s.recheck(o, &spare, v, checkCond)
 			rep.Stats.DeltaRecheck++
 			s.stats.Rechecks++
 			rep.recordCheck(o, v.Label, 0, ss, st, cpu)
@@ -390,13 +394,13 @@ func (s *Session) replay(ce *sessionEntry, v *gcl.Violation, checkCond *smt.Term
 
 // recheck checks one sliced condition on the warm shared solver via an
 // activation literal, then makes the verdict canonical exactly as the
-// fresh engine would: a Sat is re-solved on the ORIGINAL condition by a
-// deterministic fresh solver, a sliced Sat whose full condition is Unsat
-// becomes Unsat (the dropped, variable-disjoint remainder was
-// unsatisfiable on its own), and a contradicting re-check surfaces as
-// Unknown rather than fabricating a model. ss is this check's delta on
-// the warm solver plus the re-solve's cost.
-func (s *Session) recheck(o *obs.Obs, v *gcl.Violation, checkCond *smt.Term) (st smt.Status, model *smt.Model, ss smt.SolverStats, cpu time.Duration) {
+// fresh engine would: a Sat is re-solved on the ORIGINAL condition by the
+// spare solver reset to its fresh state, a sliced Sat whose full
+// condition is Unsat becomes Unsat (the dropped, variable-disjoint
+// remainder was unsatisfiable on its own), and a contradicting re-check
+// surfaces as Unknown rather than fabricating a model. ss is this check's
+// delta on the warm solver plus the re-solve's cost.
+func (s *Session) recheck(o *obs.Obs, spare **smt.Solver, v *gcl.Violation, checkCond *smt.Term) (st smt.Status, model *smt.Model, ss smt.SolverStats, cpu time.Duration) {
 	solver := s.ensureSolver()
 	installProgress(o, solver, v.Label, 0)
 	t0 := time.Now()
@@ -408,7 +412,7 @@ func (s *Session) recheck(o *obs.Obs, v *gcl.Violation, checkCond *smt.Term) (st
 	if st != smt.Sat {
 		return
 	}
-	s2 := s.opts.newSolver(s.ctx)
+	s2 := s.opts.newSolver(s.ctx, spare)
 	installProgress(o, s2, v.Label, 0)
 	t1 := time.Now()
 	st2 := s2.Check(v.Cond)

@@ -27,9 +27,9 @@ import (
 // condition Unsat (the assertion holds). The converse does not hold: D
 // alone may be unsatisfiable (e.g. unreachable-branch constraints), so a
 // Sat slice must be confirmed on the full condition before reporting a
-// violation. Session.recheck does that with a plain fresh solver, which
-// also keeps counterexample models byte-identical to the unsliced fresh
-// engine.
+// violation. Session.recheck does that with a solver reset to its fresh
+// state, which behaves exactly like a new one and so also keeps
+// counterexample models byte-identical to the unsliced fresh engine.
 //
 // Factorizations and per-conjunct variable supports are memoized by term
 // ID: assertions in one program share long path prefixes in the
