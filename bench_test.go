@@ -10,6 +10,7 @@ package aquila
 import (
 	"fmt"
 	"io"
+	"math/rand"
 	"testing"
 
 	"aquila/internal/bench"
@@ -19,6 +20,7 @@ import (
 	"aquila/internal/obs"
 	"aquila/internal/progs"
 	"aquila/internal/smt"
+	"aquila/internal/tables"
 	"aquila/internal/verify"
 )
 
@@ -344,6 +346,54 @@ func BenchmarkVerifyDCGateway_Allocs(b *testing.B) {
 		}
 		if len(rep.Violations) == 0 {
 			b.Fatal("no bugs on a benchmark with seeded violations")
+		}
+	}
+}
+
+// BenchmarkSessionApply_Allocs is the delta-path allocation benchmark CI
+// gates on: warm verify.Session re-verification of the DC Gateway with
+// 256 installed ECMP entries under its holding property, one seeded
+// single-entry replace per op. Sessions are rebuilt (untimed) every
+// sessionEpisode deltas so the warm context's growth stays bounded and
+// allocs/op does not drift with b.N. Run with -benchmem; CI fails
+// allocs/op above 1.5x the figure EXPERIMENTS.md records.
+func BenchmarkSessionApply_Allocs(b *testing.B) {
+	const entries, sessionEpisode = 256, 64
+	b.ReportAllocs()
+	bm, spec, snap, err := bench.ChurnWorkload(entries)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prog, err := bm.Parse()
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	var sess *verify.Session
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%sessionEpisode == 0 {
+			b.StopTimer()
+			if sess, err = verify.NewSession(prog, snap, spec, verify.Options{Parallel: 1}); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		key := rng.Intn(entries)
+		act := fmt.Sprintf("set_nhop(%d)", rng.Intn(8)+1)
+		if rng.Intn(8) == 0 {
+			act = "a_drop"
+		}
+		d, err := tables.ParseDelta(fmt.Sprintf("replace GatewayIngress.ecmp_nhop_tbl %d %d -> %s", key, key, act))
+		if err != nil {
+			b.Fatal(err)
+		}
+		rep, err := sess.Apply(d)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !rep.Holds {
+			b.Fatal("holding property violated by a single-entry replace")
 		}
 	}
 }

@@ -53,14 +53,14 @@ type ChurnResult struct {
 	Rows            []ChurnRow `json:"rows"`
 }
 
-// churnWorkload builds the steady-state churn problem: the DC gateway
+// ChurnWorkload builds the steady-state churn problem: the DC gateway
 // with `entries` installed ECMP next-hop entries and the holding subset
 // of the invalid-header-access property. The subset is derived by one
 // fresh run on the full property: assertions the seeded bugs violate are
 // dropped, because a standing violation re-solves its full condition on
 // a solver reset to its fresh state every delta (the price of byte-identical
 // counterexample models) — not the regime churn amortization targets.
-func churnWorkload(entries int) (*progs.Benchmark, *lpi.Spec, *tables.Snapshot, error) {
+func ChurnWorkload(entries int) (*progs.Benchmark, *lpi.Spec, *tables.Snapshot, error) {
 	bm := progs.DCGatewayBench()
 	prog, err := bm.Parse()
 	if err != nil {
@@ -140,7 +140,7 @@ func Churn(entries, warmup, steady int) (*ChurnResult, error) {
 	if steady <= 0 {
 		steady = 8
 	}
-	bm, spec, snap, err := churnWorkload(entries)
+	bm, spec, snap, err := ChurnWorkload(entries)
 	if err != nil {
 		return nil, err
 	}

@@ -68,7 +68,7 @@ func Serve(entries, warmup, steady int) (*ServeResult, error) {
 	if steady <= 0 {
 		steady = 8
 	}
-	bm, spec, snap, err := churnWorkload(entries)
+	bm, spec, snap, err := ChurnWorkload(entries)
 	if err != nil {
 		return nil, err
 	}

@@ -291,3 +291,26 @@ func TestDAGLinearity(t *testing.T) {
 		t.Fatalf("encoding not DAG-linear: size(10)=%d size(20)=%d", s10, s20)
 	}
 }
+
+// TestSubstTwoStoresOneEncoder: one encoder substitutes the same term
+// under two stores; its per-call memo must not carry the first store's
+// results into the second call.
+func TestSubstTwoStoresOneEncoder(t *testing.T) {
+	ctx, e := setup()
+	x, y := ctx.Var("x", 8), ctx.Var("y", 8)
+	term := ctx.Eq(ctx.BVAdd(x, ctx.BV(1, 8)), y)
+	s1, s2 := NewStore(), NewStore()
+	s1.Set("x", ctx.BV(3, 8))
+	s2.Set("x", ctx.BV(4, 8))
+	got1 := e.Subst(term, s1)
+	got2 := e.Subst(term, s2)
+	if want := ctx.Eq(ctx.BV(4, 8), y); got1 != want {
+		t.Fatalf("Subst under x=3 = %s, want %s", got1, want)
+	}
+	if want := ctx.Eq(ctx.BV(5, 8), y); got2 != want {
+		t.Fatalf("Subst under x=4 = %s, want %s", got2, want)
+	}
+	if got := e.Subst(term, NewStore()); got != term {
+		t.Fatalf("Subst under an empty store = %s, want the term itself", got)
+	}
+}

@@ -37,9 +37,7 @@ type Result struct {
 // their bindings in a flat slice instead of a string map. All stores of
 // one encoding run share a table (clone propagates it), which makes
 // clones a single slice copy and lets merge iterate bound names in a
-// precomputed lexicographic order instead of sorting per branch join —
-// the dominant cost of re-encoding a churning program over a warm
-// context was exactly these per-join map copies and sorts.
+// precomputed lexicographic order instead of sorting per branch join.
 type nameTable struct {
 	ids    map[string]int
 	names  []string
@@ -142,6 +140,9 @@ func (s *Store) Names() []string {
 type Encoder struct {
 	ctx   *smt.Ctx
 	fresh int
+
+	// memo is Subst's term ID -> result scratch, reset per call.
+	memo smt.Memo
 }
 
 // NewEncoder returns an encoder over ctx.
@@ -163,37 +164,40 @@ func (e *Encoder) FreshVar(hint string, width int) *smt.Term {
 
 // Subst substitutes store values for variables in t.
 func (e *Encoder) Subst(t *smt.Term, store *Store) *smt.Term {
-	memo := map[int]*smt.Term{}
-	var walk func(x *smt.Term) *smt.Term
-	walk = func(x *smt.Term) *smt.Term {
-		if got, ok := memo[x.ID]; ok {
-			return got
-		}
-		var out *smt.Term
-		switch x.Op {
-		case smt.OpBVVar, smt.OpBoolVar:
-			out = store.Get(x)
-		case smt.OpBVConst, smt.OpBoolConst:
-			out = x
-		default:
-			args := make([]*smt.Term, len(x.Args))
-			changed := false
-			for i, a := range x.Args {
-				args[i] = walk(a)
-				if args[i] != a {
-					changed = true
-				}
-			}
-			if !changed {
-				out = x
-			} else {
-				out = e.rebuild(x, args)
-			}
-		}
-		memo[x.ID] = out
-		return out
+	e.memo.Begin(t)
+	return e.subst(t, store)
+}
+
+// subst is Subst's recursive step over the current walk. Children are
+// visited, and rebuilt parents constructed, in argument order: term
+// construction order assigns term IDs, so it must not change.
+func (e *Encoder) subst(x *smt.Term, store *Store) *smt.Term {
+	if got, ok := e.memo.Get(x); ok {
+		return got
 	}
-	return walk(t)
+	var out *smt.Term
+	switch x.Op {
+	case smt.OpBVVar, smt.OpBoolVar:
+		out = store.Get(x)
+	case smt.OpBVConst, smt.OpBoolConst:
+		out = x
+	default:
+		var args [3]*smt.Term // no term has more than three arguments
+		changed := false
+		for i, a := range x.Args {
+			args[i] = e.subst(a, store)
+			if args[i] != a {
+				changed = true
+			}
+		}
+		if !changed {
+			out = x
+		} else {
+			out = e.rebuild(x, args[:len(x.Args)])
+		}
+	}
+	e.memo.Put(x, out)
+	return out
 }
 
 func (e *Encoder) rebuild(x *smt.Term, args []*smt.Term) *smt.Term {

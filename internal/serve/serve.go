@@ -142,7 +142,8 @@ type applyJob struct {
 type applyResult struct {
 	rep *verify.Report
 	// reject is a pre-verification failure (bad index against the current
-	// snapshot): the session did not change and nothing was journaled.
+	// snapshot, or a snapshot that fails to encode): the session did not
+	// change and nothing was journaled.
 	reject error
 	// err is a post-verification failure (internal); the session DID
 	// change and the delta was journaled.
@@ -408,6 +409,13 @@ func (s *session) apply(j *applyJob) {
 
 	reg := s.srv.reg
 	reg.Histogram(obs.HistServeApplyWallUS).Observe(wall.Microseconds())
+	if rep == nil && err != nil {
+		// The mutated snapshot failed to encode or compile (e.g. an entry
+		// naming an action its table lacks); Apply undid it.
+		res.reject = err
+		j.reply <- res
+		return
+	}
 	res.rep = rep
 	switch {
 	case err == nil:
@@ -417,8 +425,9 @@ func (s *session) apply(j *applyJob) {
 	default:
 		res.err = err
 	}
-	// The snapshot mutated (the trial apply above rules out rejection),
-	// so the journal must record the delta regardless of the verdict.
+	// The snapshot mutated (the trial apply and the check above rule out
+	// rejection), so the journal must record the delta regardless of the
+	// verdict.
 	if s.jw != nil {
 		if jerr := s.jw.append(journalRecord{Kind: recDelta, Delta: j.deltaText}); jerr != nil && res.err == nil {
 			res.err = fmt.Errorf("serve: journal append: %w", jerr)

@@ -304,6 +304,56 @@ func TestServeDeadlineExceeded(t *testing.T) {
 	}
 }
 
+// TestServeUnencodableDelta: a delta that applies to the snapshot but
+// names an action its table lacks fails in encoding. It must come back
+// 400, stay out of the journal and the delta count, and leave the
+// session serving: the next valid delta is answered 200 with a report
+// byte-identical to a fresh run, and journal recovery succeeds.
+func TestServeUnencodableDelta(t *testing.T) {
+	prog, spec := dcProblem(t)
+	cfg := Config{Prog: prog, Spec: spec, ProgramRef: "test:dc-gateway", JournalDir: t.TempDir()}
+	srv := newTestServer(t, cfg)
+	createSession(t, srv, "u", dcSnapshot)
+
+	rr := do(srv, "POST", "/sessions/u/deltas", "add GatewayIngress.ecmp_nhop_tbl 9 -> no_such_action")
+	if rr.Code != http.StatusBadRequest {
+		t.Fatalf("unencodable delta: status %d, want 400 (body: %s)", rr.Code, rr.Body.String())
+	}
+	if !strings.Contains(rr.Body.String(), "no_such_action") {
+		t.Fatalf("error body does not name the missing action: %s", rr.Body.String())
+	}
+
+	valid := "add GatewayIngress.ecmp_nhop_tbl 7 -> set_nhop(3)"
+	exp := mustSnapshot(t, dcSnapshot)
+	applyText(t, exp, valid)
+	rr = applyDelta(t, srv, "u", valid)
+	want := freshCanonical(t, prog, spec, exp)
+	if !bytes.Equal(rr.Body.Bytes(), want) {
+		t.Fatalf("report after an unencodable delta differs from fresh run:\nhttp:\n%s\nfresh:\n%s", rr.Body.Bytes(), want)
+	}
+	var info struct {
+		Deltas int `json:"deltas"`
+	}
+	if err := json.Unmarshal(do(srv, "GET", "/sessions/u", "").Body.Bytes(), &info); err != nil {
+		t.Fatalf("info: %v", err)
+	}
+	if info.Deltas != 1 {
+		t.Fatalf("session counts %d deltas, want 1 (the unencodable one must not count)", info.Deltas)
+	}
+
+	srv.Close()
+	srv = newTestServer(t, cfg)
+	if got := srv.Recovered(); got != 1 {
+		t.Fatalf("recovered %d sessions, want 1", got)
+	}
+	extra := "remove GatewayIngress.ecmp_nhop_tbl 2"
+	rr = applyDelta(t, srv, "u", extra)
+	applyText(t, exp, extra)
+	if want := freshCanonical(t, prog, spec, exp); !bytes.Equal(rr.Body.Bytes(), want) {
+		t.Fatal("recovered session report differs from fresh run")
+	}
+}
+
 // TestServeLifecycleEndpoints covers the non-report surface: healthz,
 // session listing and info, delete, metrics exposition, and drain.
 func TestServeLifecycleEndpoints(t *testing.T) {

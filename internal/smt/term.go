@@ -12,7 +12,6 @@ package smt
 import (
 	"fmt"
 	"math/big"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -66,6 +65,11 @@ var opNames = map[Op]string{
 // bit-vector terms have Width >= 1. Terms must be created through a Ctx;
 // pointer equality coincides with structural equality within one Ctx.
 type Term struct {
+	// ID is the term's arena position: IDs are assigned in creation
+	// order, and a term is created only after its arguments, so every
+	// argument's ID is below its parent's. Release keeps this ordering
+	// (reused IDs go to terms created after the release). Memo relies on
+	// it to size its arrays from a walk's root alone.
 	ID    int
 	Op    Op
 	Width int // 0 for boolean terms
@@ -1009,31 +1013,6 @@ func (c *Ctx) Ugt(a, b *Term) *Term { return c.Ult(b, a) }
 
 // Uge returns a >= b (unsigned).
 func (c *Ctx) Uge(a, b *Term) *Term { return c.Ule(b, a) }
-
-// Vars returns the free variables of t, sorted by name.
-func Vars(t *Term) []*Term {
-	// Iterative walk: counterexample rendering calls this on full VC terms,
-	// which can be too deep for recursion on large parser state spaces.
-	seen := map[int]bool{t.ID: true}
-	var out []*Term
-	stack := []*Term{t}
-	for len(stack) > 0 {
-		x := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if x.Op == OpBVVar || x.Op == OpBoolVar {
-			out = append(out, x)
-			continue
-		}
-		for _, a := range x.Args {
-			if !seen[a.ID] {
-				seen[a.ID] = true
-				stack = append(stack, a)
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
 
 // TermSize returns the number of distinct subterms of t (DAG size).
 func TermSize(t *Term) int {

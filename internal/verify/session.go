@@ -156,8 +156,12 @@ func (s *Session) SessionStats() SessionStats { return s.stats }
 // through the memoized slicer, pointer-unchanged verdicts are replayed,
 // and the rest are re-solved on the warm shared solver. The returned
 // report's CanonicalJSON is byte-identical to a fresh verify.Run on the
-// mutated snapshot (Unknown verdicts excepted, as documented). A failed
-// delta (bad table, bad index) leaves the session unchanged.
+// mutated snapshot (Unknown verdicts excepted, as documented). A delta
+// that fails with a nil report leaves the session unchanged: one that
+// does not apply (bad table, bad index), and one whose mutated snapshot
+// fails to encode or compile (an entry naming an action its table
+// lacks), which is undone so later deltas verify against the previous
+// snapshot.
 func (s *Session) Apply(delta *tables.Delta) (*Report, error) {
 	if delta == nil {
 		return nil, fmt.Errorf("verify: Apply(nil delta)")
@@ -169,9 +173,17 @@ func (s *Session) Apply(delta *tables.Delta) (*Report, error) {
 	if err := delta.Apply(next); err != nil {
 		return nil, err
 	}
+	prev := s.snap
 	s.snap = next
 	s.stats.Deltas++
-	return s.run(delta)
+	rep, err := s.run(delta)
+	if rep == nil {
+		// run failed before solving, so the cache, slicer and solver are
+		// untouched; only the snapshot and the count need undoing.
+		s.snap = prev
+		s.stats.Deltas--
+	}
+	return rep, err
 }
 
 // Affected returns the labels of assertions whose last cone-of-influence

@@ -232,6 +232,57 @@ func TestSessionBadDeltaLeavesSessionUsable(t *testing.T) {
 	}
 }
 
+// TestSessionUnencodableDeltaIsUndone: a delta that applies cleanly but
+// names an action its table lacks fails in encoding. Apply must undo it —
+// snapshot and delta count back to where they were — so the next valid
+// delta verifies byte-identically to a fresh run.
+func TestSessionUnencodableDeltaIsUndone(t *testing.T) {
+	prog, spec, snap := churnProblem(t)
+	sess, err := NewSession(prog, snap, spec, Options{Parallel: 1})
+	if err != nil {
+		t.Fatalf("NewSession: %v", err)
+	}
+	bad, err := tables.ParseDelta("add GatewayIngress.ecmp_nhop_tbl 9 -> no_such_action")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := sess.Apply(bad)
+	if err == nil || rep != nil {
+		t.Fatalf("unknown-action delta: got report %v, err %v; want a nil report and an error", rep != nil, err)
+	}
+	if !strings.Contains(err.Error(), "no_such_action") {
+		t.Fatalf("error %q does not name the missing action", err)
+	}
+	if !tables.Equal(snap, sess.Snapshot()) {
+		t.Fatal("unencodable delta left the session snapshot mutated")
+	}
+	if n := sess.SessionStats().Deltas; n != 0 {
+		t.Fatalf("unencodable delta counted: Deltas = %d, want 0", n)
+	}
+	good, err := tables.ParseDelta("add GatewayIngress.ecmp_nhop_tbl 6 -> set_nhop(2)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err = sess.Apply(good)
+	if err != nil {
+		t.Fatalf("apply after unencodable delta: %v", err)
+	}
+	want := snap.Clone()
+	if err := good.Apply(want); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := Run(prog, want, spec, Options{FindAll: true, Parallel: 1})
+	if err != nil {
+		t.Fatalf("fresh: %v", err)
+	}
+	if !bytes.Equal(canonicalOf(t, rep), canonicalOf(t, fresh)) {
+		t.Fatal("session report differs from fresh run after an unencodable delta")
+	}
+	if n := sess.SessionStats().Deltas; n != 1 {
+		t.Fatalf("Deltas = %d after one valid delta, want 1", n)
+	}
+}
+
 // TestSessionAffected checks the table -> assertion dependency index:
 // the ECMP table's COI must cover at least one assertion but not all of
 // them, the result must be sorted, and unknown tables map to nothing.

@@ -39,6 +39,9 @@ type slicer struct {
 	ctx     *smt.Ctx
 	memo    map[int][]*smt.Term // term ID -> equivalent conjunct list
 	support map[int][]int       // conjunct term ID -> free-variable term IDs
+	// walk is the scratch for the free-variable walks behind support and
+	// the seed of slice.
+	walk smt.Memo
 
 	// Conjuncts and Dropped total the factored conjuncts seen and removed
 	// across all sliced assertions.
@@ -161,7 +164,7 @@ func (sl *slicer) vars(t *smt.Term) []int {
 	if ids, ok := sl.support[t.ID]; ok {
 		return ids
 	}
-	vs := smt.Vars(t)
+	vs := sl.walk.Vars(t)
 	ids := make([]int, len(vs))
 	for i, v := range vs {
 		ids[i] = v.ID
@@ -184,7 +187,7 @@ func (sl *slicer) slice(v *gcl.Violation) *smt.Term {
 	if len(conjs) <= 1 {
 		return cond
 	}
-	seed := smt.Vars(v.Check)
+	seed := sl.walk.Vars(v.Check)
 	if len(seed) == 0 {
 		// A variable-free check cannot anchor a cone; keep everything.
 		return cond
