@@ -2,6 +2,7 @@ package smt
 
 import (
 	"fmt"
+	"slices"
 
 	"aquila/internal/sat"
 )
@@ -14,6 +15,10 @@ type blaster struct {
 	bvCache   map[int][]sat.Lit
 	boolCache map[int]sat.Lit
 	litTrue   sat.Lit
+
+	// eqLits is eq's literal scratch; it keeps its capacity across
+	// reset so equalities allocate nothing once it has grown.
+	eqLits []sat.Lit
 
 	// Instrumentation (plain fields: a blaster is single-goroutine).
 	// cacheHits/cacheMisses count bv()/boolLit() lookups against the
@@ -41,7 +46,7 @@ func (b *blaster) reset(s *sat.Solver) {
 	}
 	clear(bvCache)
 	clear(boolCache)
-	*b = blaster{sat: s, bvCache: bvCache, boolCache: boolCache}
+	*b = blaster{sat: s, bvCache: bvCache, boolCache: boolCache, eqLits: b.eqLits[:0]}
 	v := s.NewVar()
 	b.litTrue = sat.MkLit(v, false)
 	s.AddClause(b.litTrue)
@@ -98,6 +103,56 @@ func (b *blaster) xor(x, y sat.Lit) sat.Lit {
 	b.addClause(o.Not(), x.Not(), y.Not())
 	b.addClause(o, x.Not(), y)
 	b.addClause(o, x, y.Not())
+	return o
+}
+
+// eq returns a literal equivalent to x == y as one n-ary AND gate over
+// the per-bit XNORs. xor folds constant and shared bits, so a bit that
+// is already true is dropped, and a false bit or a complementary pair
+// makes the whole equality false. A single remaining literal is
+// returned as is; otherwise one fresh o gets w binary clauses (¬o ∨ lᵢ)
+// and one clause (o ∨ ¬l₁ ∨ … ∨ ¬l_w).
+func (b *blaster) eq(x, y []sat.Lit) sat.Lit {
+	lits := b.eqLits[:0]
+	for i := range x {
+		l := b.xor(x[i], y[i]).Not()
+		if b.isFalse(l) {
+			return b.litFalse()
+		}
+		if !b.isTrue(l) {
+			lits = append(lits, l)
+		}
+	}
+	b.eqLits = lits
+	// Sorting puts a literal next to its duplicates and its negation
+	// (MkLit numbers them 2v and 2v+1).
+	slices.Sort(lits)
+	n := 0
+	for _, l := range lits {
+		if n > 0 && l == lits[n-1] {
+			continue
+		}
+		if n > 0 && l == lits[n-1].Not() {
+			return b.litFalse()
+		}
+		lits[n] = l
+		n++
+	}
+	lits = lits[:n]
+	switch n {
+	case 0:
+		return b.litTrue
+	case 1:
+		return lits[0]
+	}
+	o := b.fresh()
+	for i, l := range lits {
+		b.addClause(o.Not(), l)
+		lits[i] = l.Not()
+	}
+	lits = append(lits, o)
+	b.addClause(lits...)
+	b.eqLits = lits
 	return o
 }
 
@@ -326,12 +381,7 @@ func (b *blaster) boolLit(t *Term) sat.Lit {
 	case OpBoolIte:
 		out = b.mux(b.boolLit(t.Args[0]), b.boolLit(t.Args[1]), b.boolLit(t.Args[2]))
 	case OpEq:
-		x := b.bv(t.Args[0])
-		y := b.bv(t.Args[1])
-		out = b.litTrue
-		for i := range x {
-			out = b.and(out, b.xor(x[i], y[i]).Not())
-		}
+		out = b.eq(b.bv(t.Args[0]), b.bv(t.Args[1]))
 	case OpUlt, OpUle:
 		x := b.bv(t.Args[0])
 		y := b.bv(t.Args[1])

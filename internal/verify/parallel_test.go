@@ -100,6 +100,31 @@ func assertParallelMatchesSerial(t *testing.T, c corpusCase, workers []int) *Rep
 	return serial
 }
 
+// TestDCGatewayCNFSize pins the blasted formula's size on the DC gateway:
+// serial find-all must stay within the SAT var and clause counts of the
+// n-ary equality gate (the binary AND chain it replaced produced 15,015
+// vars and 36,606 clauses), and two workers must report the same counts,
+// since every check resets its solver to the fresh state. The counts are
+// deterministic, so a blaster regression fails here without timing noise.
+func TestDCGatewayCNFSize(t *testing.T) {
+	const maxVars, maxClauses = 9231, 25014
+	c := loadCase(t, progs.DCGatewayBench())
+	var counts [2][2]int
+	for i, w := range []int{1, 2} {
+		rep, err := Run(c.prog, nil, c.spec, Options{FindAll: true, Parallel: w})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", w, err)
+		}
+		counts[i] = [2]int{rep.Stats.SATVars, rep.Stats.CNFClauses}
+	}
+	if v, cl := counts[0][0], counts[0][1]; v > maxVars || cl > maxClauses {
+		t.Errorf("serial: %d SAT vars, %d clauses; want at most %d, %d", v, cl, maxVars, maxClauses)
+	}
+	if counts[1] != counts[0] {
+		t.Errorf("workers=2 (vars, clauses) = %v, serial %v", counts[1], counts[0])
+	}
+}
+
 // TestParallelBudgetExhaustion pins budget semantics under parallelism:
 // a budget too small for any check makes every worker stop, ErrBudget
 // surfaces exactly as in the serial run, and the partial report (the
