@@ -10,25 +10,17 @@
 //	aquila-bench -exp table4 [-scales small,medium,large]
 //	aquila-bench -exp fig11a [-k 5] [-scale medium]
 //	aquila-bench -exp fig11b [-entries 1000,2000,3000,4000,5000]
-//	aquila-bench -exp parallel [-parallel 1,2,4,8] [-repeats 3] [-out BENCH_parallel.json]
 //	aquila-bench -exp churn [-churn-entries 64] [-churn-deltas 8]
 //	                        [-churn-out BENCH_churn.json] [-compare-churn BENCH_churn.json]
 //	aquila-bench -exp serve [-churn-entries 64] [-churn-deltas 8]
 //	                        [-serve-out BENCH_serve.json] [-compare-serve BENCH_serve.json]
-//	aquila-bench -exp obs [-repeats 3] [-obs-out BENCH_obs.json]
 //	aquila-bench -exp fuzz [-quick]
 //	aquila-bench -exp scale [-quick] [-scale-out BENCH_scale.json]
 //	                        [-compare-scale BENCH_scale.json]
 //	aquila-bench -exp all -quick
-//	aquila-bench -analyze trace.json [-analyze-out util.json]
-//	             [-compare-util BENCH_obs.json]
 //
-// -analyze skips the experiments and runs the worker-utilization pass
-// over a Chrome trace (as written by any CLI's -trace): per-worker busy
-// fraction over the solve phase, the critical path, and the straggler
-// index. -compare-util gates against a reference (a BENCH_obs.json or a
-// previous -analyze-out), failing on a >20% mean-busy-fraction
-// regression — the CI scheduling-regression check.
+// An unknown -exp name is a usage error (exit 2), checked before any
+// experiment starts.
 //
 // Observability flags (shared with the other CLIs): -trace writes a
 // Chrome trace-event JSON covering the whole run, -pprof/-memprofile
@@ -42,6 +34,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -52,43 +45,48 @@ import (
 	"aquila/internal/progs"
 )
 
-func main() { os.Exit(mainRun()) }
+func main() { os.Exit(run(os.Args[1:])) }
 
-func mainRun() int {
+// experiments names every -exp value except "all", in the order "all"
+// runs them.
+var experiments = []string{"table1", "table2", "table3", "table4", "fig11a", "fig11b", "churn", "serve", "scale", "fuzz"}
+
+// run is main with an exit code, so the observability closers (trace
+// flush, profile writes) always execute.
+func run(args []string) int {
+	fs := flag.NewFlagSet("aquila-bench", flag.ContinueOnError)
 	var (
-		exp        = flag.String("exp", "all", "experiment: table1|table2|table3|table4|fig11a|fig11b|parallel|churn|serve|obs|fuzz|scale|all")
-		quick      = flag.Bool("quick", false, "smaller budgets and workloads")
-		suite      = flag.String("suite", "full", "table3 suite: hand (5 programs) or full (12)")
-		scales     = flag.String("scales", "small,medium,large", "table4 switch-T scales")
-		k          = flag.Int("k", 5, "fig11a maximum chain length")
-		scale      = flag.String("scale", "medium", "fig11a/fig11b switch-T scale")
-		entries    = flag.String("entries", "1000,2000,3000,4000,5000", "fig11b entry counts")
-		parallel   = flag.String("parallel", "1,2,4,8", "parallel-sweep worker counts (first must be 1, the speedup baseline)")
-		repeats    = flag.Int("repeats", 3, "parallel/obs runs per configuration (best wall time kept)")
-		outPath    = flag.String("out", "BENCH_parallel.json", "parallel-sweep JSON output file (empty: stdout table only)")
-		churnEnt   = flag.Int("churn-entries", 64, "churn: installed entries in the churned ECMP table")
-		churnN     = flag.Int("churn-deltas", 8, "churn: steady-state deltas measured (after 2 warmups)")
-		churnOut   = flag.String("churn-out", "BENCH_churn.json", "churn-experiment JSON output file (empty: stdout table only)")
-		churnCmp   = flag.String("compare-churn", "", "churn only: reference BENCH_churn.json; exit non-zero on byte-identity break, steady-state speedup below bench.SessionSpeedupFloor, or >50% relative regression")
-		serveOut   = flag.String("serve-out", "BENCH_serve.json", "serve-experiment JSON output file (empty: stdout table only)")
-		serveCmp   = flag.String("compare-serve", "", "serve only: reference BENCH_serve.json; exit non-zero on byte-identity break, steady-state speedup below bench.SessionSpeedupFloor, or >50% relative regression")
-		scaleOut   = flag.String("scale-out", "BENCH_scale.json", "scale-campaign JSON output file (empty: stdout table only)")
-		scaleCmp   = flag.String("compare-scale", "", "scale only: reference BENCH_scale.json; exit non-zero on >20% relative regression")
-		obsOut     = flag.String("obs-out", "BENCH_obs.json", "obs-experiment JSON output file (empty or -quick: stdout table only)")
-		analyzeIn  = flag.String("analyze", "", "skip experiments: analyze worker utilization of a Chrome trace JSON (as written by -trace)")
-		analyzeOut = flag.String("analyze-out", "", "with -analyze: write the utilization JSON here")
-		utilCmp    = flag.String("compare-util", "", "with -analyze: reference BENCH_obs.json (or utilization JSON); exit non-zero if mean busy fraction regresses >20%")
-		tracePath  = flag.String("trace", "", "write Chrome trace-event JSON covering the run")
-		cpuProf    = flag.String("pprof", "", "write CPU profile (go tool pprof)")
-		memProf    = flag.String("memprofile", "", "write heap profile on exit")
-		verbose    = flag.Bool("v", false, "structured JSONL log on stderr")
-		progress   = flag.Bool("progress", false, "live solver-heartbeat status line on stderr")
-		metricsOut = flag.String("metrics", "", "write OpenMetrics text exposition of the metrics registry on exit")
+		exp        = fs.String("exp", "all", "experiment: "+strings.Join(experiments, "|")+"|all")
+		quick      = fs.Bool("quick", false, "smaller budgets and workloads")
+		suite      = fs.String("suite", "full", "table3 suite: hand (5 programs) or full (12)")
+		scales     = fs.String("scales", "small,medium,large", "table4 switch-T scales")
+		k          = fs.Int("k", 5, "fig11a maximum chain length")
+		scale      = fs.String("scale", "medium", "fig11a/fig11b switch-T scale")
+		entries    = fs.String("entries", "1000,2000,3000,4000,5000", "fig11b entry counts")
+		churnEnt   = fs.Int("churn-entries", 64, "churn: installed entries in the churned ECMP table")
+		churnN     = fs.Int("churn-deltas", 8, "churn: steady-state deltas measured (after 2 warmups)")
+		churnOut   = fs.String("churn-out", "BENCH_churn.json", "churn-experiment JSON output file (empty: stdout table only)")
+		churnCmp   = fs.String("compare-churn", "", "churn only: reference BENCH_churn.json; exit non-zero on byte-identity break, steady-state speedup below bench.SessionSpeedupFloor, or >50% relative regression")
+		serveOut   = fs.String("serve-out", "BENCH_serve.json", "serve-experiment JSON output file (empty: stdout table only)")
+		serveCmp   = fs.String("compare-serve", "", "serve only: reference BENCH_serve.json; exit non-zero on byte-identity break, steady-state speedup below bench.SessionSpeedupFloor, or >50% relative regression")
+		scaleOut   = fs.String("scale-out", "BENCH_scale.json", "scale-campaign JSON output file (empty: stdout table only)")
+		scaleCmp   = fs.String("compare-scale", "", "scale only: reference BENCH_scale.json; exit non-zero on >20% relative regression")
+		tracePath  = fs.String("trace", "", "write Chrome trace-event JSON covering the run")
+		cpuProf    = fs.String("pprof", "", "write CPU profile (go tool pprof)")
+		memProf    = fs.String("memprofile", "", "write heap profile on exit")
+		verbose    = fs.Bool("v", false, "structured JSONL log on stderr")
+		progress   = fs.Bool("progress", false, "live solver-heartbeat status line on stderr")
+		metricsOut = fs.String("metrics", "", "write OpenMetrics text exposition of the metrics registry on exit")
 	)
-	flag.Parse()
-
-	if *analyzeIn != "" {
-		return analyzeMain(*analyzeIn, *analyzeOut, *utilCmp)
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	if *exp != "all" && !slices.Contains(experiments, *exp) {
+		fmt.Fprintf(os.Stderr, "aquila-bench: unknown experiment %q (want %s|all)\n", *exp, strings.Join(experiments, "|"))
+		return 2
 	}
 
 	o, closeObs, err := obs.Setup(obs.Config{
@@ -103,7 +101,7 @@ func mainRun() int {
 	obs.SetDefault(o)
 
 	code := 0
-	run := func(name string, f func() error) {
+	step := func(name string, f func() error) {
 		if code != 0 || (*exp != "all" && *exp != name) {
 			return
 		}
@@ -117,13 +115,13 @@ func mainRun() int {
 		fmt.Printf("(%s in %s)\n\n", name, time.Since(start).Round(time.Millisecond))
 	}
 
-	run("table1", func() error {
+	step("table1", func() error {
 		rows := bench.Table1()
 		fmt.Print(bench.FormatTable1(rows))
 		return nil
 	})
 
-	run("table2", func() error {
+	step("table2", func() error {
 		rows, err := bench.Table2()
 		if err != nil {
 			return err
@@ -132,7 +130,7 @@ func mainRun() int {
 		return nil
 	})
 
-	run("table3", func() error {
+	step("table3", func() error {
 		var programs []*progs.Benchmark
 		if *suite == "hand" {
 			programs = progs.HandWrittenSuite()
@@ -152,7 +150,7 @@ func mainRun() int {
 		return nil
 	})
 
-	run("table4", func() error {
+	step("table4", func() error {
 		var list []string
 		for _, s := range strings.Split(*scales, ",") {
 			list = append(list, strings.TrimSpace(s))
@@ -168,7 +166,7 @@ func mainRun() int {
 		return nil
 	})
 
-	run("fig11a", func() error {
+	step("fig11a", func() error {
 		maxK := *k
 		sc := *scale
 		if *quick {
@@ -182,7 +180,7 @@ func mainRun() int {
 		return nil
 	})
 
-	run("fig11b", func() error {
+	step("fig11b", func() error {
 		var counts []int
 		for _, s := range strings.Split(*entries, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(s))
@@ -204,42 +202,7 @@ func mainRun() int {
 		return nil
 	})
 
-	run("parallel", func() error {
-		// The worker-count sweep on the DC gateway (scale) and the
-		// skewed-telemetry program (load imbalance: one heavy assertion).
-		var counts []int
-		for _, s := range strings.Split(*parallel, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil {
-				return err
-			}
-			counts = append(counts, n)
-		}
-		reps := *repeats
-		if *quick {
-			reps = 1
-		}
-		res, err := bench.ParallelSuite(
-			[]*progs.Benchmark{progs.DCGatewayBench(), progs.SkewedBench()},
-			counts, reps)
-		if err != nil {
-			return err
-		}
-		fmt.Print(bench.FormatParallelSuite(res))
-		if *outPath != "" {
-			data, err := res.JSON()
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(*outPath, append(data, '\n'), 0o644); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", *outPath)
-		}
-		return nil
-	})
-
-	run("churn", func() error {
+	step("churn", func() error {
 		// Delta re-verification: a warm Session absorbing single-entry
 		// flips on the DC gateway's ECMP table vs a full fresh run per
 		// delta, with per-delta canonical byte identity checked.
@@ -279,7 +242,7 @@ func mainRun() int {
 		return nil
 	})
 
-	run("serve", func() error {
+	step("serve", func() error {
 		// Continuous verification daemon: the churn workload served over
 		// HTTP through an in-process aquila-serve, per-delta round trips
 		// byte-compared against fresh runs — proving the service layer
@@ -320,30 +283,7 @@ func mainRun() int {
 		return nil
 	})
 
-	run("obs", func() error {
-		reps := *repeats
-		if *quick {
-			reps = 1
-		}
-		res, err := bench.ObsOverhead(progs.DCGatewayBench(), reps)
-		if err != nil {
-			return err
-		}
-		fmt.Print(bench.FormatObs(res))
-		if !*quick && *obsOut != "" {
-			data, err := res.JSON()
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(*obsOut, data, 0o644); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", *obsOut)
-		}
-		return nil
-	})
-
-	run("scale", func() error {
+	step("scale", func() error {
 		// The 10–100× campaign: structural multipliers and 10⁴–10⁵ entry
 		// sweeps recording wall / peak heap / allocation volume. -quick
 		// runs the CI subset (one point per axis).
@@ -383,7 +323,7 @@ func mainRun() int {
 		return nil
 	})
 
-	run("fuzz", func() error {
+	step("fuzz", func() error {
 		// The §6 self-validation story as a benchmark: rediscover both
 		// historical encoder bugs from a fixed seed, then a clean campaign
 		// that must end divergence-free.
@@ -402,61 +342,4 @@ func mainRun() int {
 		}
 	}
 	return code
-}
-
-// analyzeMain is the -analyze mode: worker-utilization analytics over a
-// Chrome trace, with the optional CI scheduling-regression gate.
-func analyzeMain(tracePath, outPath, comparePath string) int {
-	fail := func(err error) int {
-		fmt.Fprintf(os.Stderr, "aquila-bench: %v\n", err)
-		return 1
-	}
-	util, err := obs.AnalyzeTraceFile(tracePath)
-	if err != nil {
-		return fail(err)
-	}
-	fmt.Print(obs.FormatUtilization(util))
-	if outPath != "" {
-		data, err := json.MarshalIndent(util, "", "  ")
-		if err != nil {
-			return fail(err)
-		}
-		if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-			return fail(err)
-		}
-		fmt.Printf("wrote %s\n", outPath)
-	}
-	if comparePath != "" {
-		ref, err := loadUtilization(comparePath)
-		if err != nil {
-			return fail(err)
-		}
-		if err := obs.CompareUtilization(ref, util); err != nil {
-			return fail(err)
-		}
-		fmt.Printf("no scheduling regression vs %s\n", comparePath)
-	}
-	return 0
-}
-
-// loadUtilization reads a reference utilization: either a BENCH_obs.json
-// (ObsResult with a utilization section) or a bare utilization JSON as
-// written by -analyze-out.
-func loadUtilization(path string) (*obs.Utilization, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var res bench.ObsResult
-	if err := json.Unmarshal(data, &res); err == nil && res.Utilization != nil {
-		return res.Utilization, nil
-	}
-	var u obs.Utilization
-	if err := json.Unmarshal(data, &u); err != nil {
-		return nil, fmt.Errorf("parsing %s: %w", path, err)
-	}
-	if u.Checks == 0 {
-		return nil, fmt.Errorf("%s: no utilization data", path)
-	}
-	return &u, nil
 }

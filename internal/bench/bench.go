@@ -291,10 +291,3 @@ func mustProg(name, src string) *p4.Program {
 	}
 	return prog
 }
-
-// lpiParse and verifyRun are small seams for the quick tests.
-func lpiParse(src string) (*lpi.Spec, error) { return lpi.Parse(src) }
-
-func verifyRun(prog *p4.Program, spec *lpi.Spec, findAll bool) (*verify.Report, error) {
-	return verify.Run(prog, nil, spec, verify.Options{FindAll: findAll})
-}

@@ -1,12 +1,13 @@
 package bench
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
 	"aquila/internal/genprog"
+	"aquila/internal/lpi"
 	"aquila/internal/progs"
+	"aquila/internal/verify"
 )
 
 func TestTable2Ratios(t *testing.T) {
@@ -179,15 +180,15 @@ func TestQuickFindModesAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		spec, err := lpiParse(progs.InvalidHeaderAccessSpec(prog, bm.Calls))
+		spec, err := lpi.Parse(progs.InvalidHeaderAccessSpec(prog, bm.Calls))
 		if err != nil {
 			t.Fatal(err)
 		}
-		first, err := verifyRun(prog, spec, false)
+		first, err := verify.Run(prog, nil, spec, verify.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		all, err := verifyRun(prog, spec, true)
+		all, err := verify.Run(prog, nil, spec, verify.Options{FindAll: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,52 +198,6 @@ func TestQuickFindModesAgree(t *testing.T) {
 		if wantBug := cfg.SeedBug; wantBug == first.Holds {
 			t.Fatalf("seed %d: seeded=%v but holds=%v", seed, wantBug, first.Holds)
 		}
-	}
-}
-
-// TestParallelSweepQuick pins the parallel sweep's bookkeeping: every
-// worker-count row reproduces the serial canonical report,
-// the CPU metadata (GOMAXPROCS and physical core count) is recorded,
-// multi-worker rows on a single-CPU host are marked cpu_bound, and the
-// straggler column is populated where several workers ran. The speedup assertion itself is skipped on
-// single-core hosts — a 1-CPU container bounds wall-clock speedup at
-// 1.0x regardless of the engine, so gating on it there would only test
-// the machine.
-func TestParallelSweepQuick(t *testing.T) {
-	res, err := Parallel(progs.SkewedBench(), []int{1, 2}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.CPUs < 1 || res.NumCPU < 1 {
-		t.Fatalf("CPU metadata missing: cpus=%d num_cpu=%d", res.CPUs, res.NumCPU)
-	}
-	if len(res.Rows) != 2 {
-		t.Fatalf("sweep rows = %d, want 2 (workers 1, 2)", len(res.Rows))
-	}
-	for _, r := range res.Rows {
-		at := fmt.Sprintf("workers=%d", r.Workers)
-		if !r.Identical {
-			t.Fatalf("%s: canonical report differs from serial baseline", at)
-		}
-		if r.Bugs == 0 {
-			t.Fatalf("%s: no bugs on a benchmark with seeded violations", at)
-		}
-		if want := r.Workers > 1 && res.SingleCPU(); r.CPUBound != want {
-			t.Fatalf("%s: cpu_bound=%v, want %v (cpus=%d num_cpu=%d)",
-				at, r.CPUBound, want, res.CPUs, res.NumCPU)
-		}
-		if r.Workers > 1 && r.StragglerIndex < 1 {
-			t.Fatalf("%s: straggler index %.2f, want >= 1 on a multi-worker run", at, r.StragglerIndex)
-		}
-	}
-	if res.SingleCPU() {
-		t.Logf("single-CPU host (cpus=%d num_cpu=%d): skipping speedup assertion", res.CPUs, res.NumCPU)
-	} else if sp := res.Rows[1].Speedup; sp < 0.5 {
-		t.Errorf("2-worker speedup %.2fx on a multi-core host: parallel fan-out slower than half the serial run", sp)
-	}
-	out := FormatParallel(res)
-	if !strings.Contains(out, "speedup") || !strings.Contains(out, "straggler") {
-		t.Fatal("format output malformed")
 	}
 }
 

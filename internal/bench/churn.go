@@ -67,7 +67,7 @@ func ChurnWorkload(entries int) (*progs.Benchmark, *lpi.Spec, *tables.Snapshot, 
 		return nil, nil, nil, err
 	}
 	full := progs.InvalidHeaderAccessSpec(prog, bm.Calls)
-	fullSpec, err := lpiParse(full)
+	fullSpec, err := lpi.Parse(full)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -106,7 +106,7 @@ func ChurnWorkload(entries int) (*progs.Benchmark, *lpi.Spec, *tables.Snapshot, 
 		}
 		out = append(out, ln)
 	}
-	spec, err := lpiParse(strings.Join(out, "\n"))
+	spec, err := lpi.Parse(strings.Join(out, "\n"))
 	if err != nil {
 		return nil, nil, nil, err
 	}

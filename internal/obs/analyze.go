@@ -8,13 +8,10 @@ import (
 	"strings"
 )
 
-// Utilization is the trace-analysis result ROADMAP item 2(c) asks for:
-// per-worker busy fractions over the solve phase, the critical path (the
-// longest single check — the floor any scheduler can reach), and a
-// straggler index quantifying load imbalance. CI gates on MeanBusyFrac
-// so a scheduling regression shows up even on single-CPU hosts, where
-// wall time alone cannot distinguish "workers starved" from "machine
-// slow".
+// Utilization is the trace-analysis result: per-worker busy fractions
+// over the solve phase, the critical path (the longest single check —
+// the floor any scheduler can reach), and a straggler index quantifying
+// load imbalance.
 type Utilization struct {
 	// SolveWallUS is the duration of the orchestrator's "solve" phase
 	// (falls back to the envelope of all check spans).
@@ -47,7 +44,9 @@ type WorkerUtilization struct {
 // Analyze computes utilization analytics from trace events. Check work
 // is every span named "solve:<label>"; the solve wall is the "solve"
 // phase on the orchestrator thread. Returns an error when the trace
-// contains no check spans.
+// contains no check spans. Its remaining caller is perfbench's span-file
+// test (TestSpanFileOpensWithTraceTooling, through AnalyzeTraceFile),
+// which checks that a benchmark trace opens with the repo's own tooling.
 func Analyze(events []Event) (*Utilization, error) {
 	type open struct{ ts int64 }
 	type key struct {
@@ -159,39 +158,4 @@ func AnalyzeTraceFile(path string) (*Utilization, error) {
 		return nil, fmt.Errorf("obs: analyze: %s: %w", path, err)
 	}
 	return Analyze(tf.TraceEvents)
-}
-
-// FormatUtilization renders the analytics as the table aquila-bench
-// -analyze prints.
-func FormatUtilization(u *Utilization) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "solve wall: %.3f ms over %d checks\n",
-		float64(u.SolveWallUS)/1000, u.Checks)
-	fmt.Fprintf(&b, "%-6s %-12s %7s %12s %10s\n", "tid", "name", "checks", "busy_ms", "busy_frac")
-	for _, w := range u.Workers {
-		fmt.Fprintf(&b, "%-6d %-12s %7d %12.3f %9.1f%%\n",
-			w.TID, w.Name, w.Checks, float64(w.BusyUS)/1000, 100*w.BusyFrac)
-	}
-	fmt.Fprintf(&b, "mean busy %.1f%%  min busy %.1f%%  straggler index %.2f\n",
-		100*u.MeanBusyFrac, 100*u.MinBusyFrac, u.StragglerIndex)
-	fmt.Fprintf(&b, "critical path: %.3f ms (%s)\n",
-		float64(u.CriticalPathUS)/1000, u.CriticalPathLabel)
-	return b.String()
-}
-
-// CompareUtilization is the CI scheduling-regression gate: it fails
-// when the measured mean busy fraction regressed more than 20%
-// relative to the reference.
-func CompareUtilization(ref, got *Utilization) error {
-	if ref == nil || got == nil {
-		return fmt.Errorf("obs: compare: missing utilization data")
-	}
-	if ref.MeanBusyFrac <= 0 {
-		return nil
-	}
-	if got.MeanBusyFrac < ref.MeanBusyFrac*0.8 {
-		return fmt.Errorf("obs: scheduling regression: mean busy fraction %.1f%% fell >20%% below reference %.1f%%",
-			100*got.MeanBusyFrac, 100*ref.MeanBusyFrac)
-	}
-	return nil
 }

@@ -321,23 +321,6 @@ func TestAnalyze(t *testing.T) {
 	}
 }
 
-func TestCompareUtilization(t *testing.T) {
-	ref := &Utilization{MeanBusyFrac: 0.8}
-	if err := CompareUtilization(ref, &Utilization{MeanBusyFrac: 0.7}); err != nil {
-		t.Errorf("12%% drop rejected: %v", err)
-	}
-	if err := CompareUtilization(ref, &Utilization{MeanBusyFrac: 0.5}); err == nil {
-		t.Error("37% drop accepted")
-	}
-	if err := CompareUtilization(nil, ref); err == nil {
-		t.Error("nil reference accepted")
-	}
-	// A zero reference (e.g. a serial baseline) gates nothing.
-	if err := CompareUtilization(&Utilization{}, &Utilization{}); err != nil {
-		t.Errorf("zero reference rejected: %v", err)
-	}
-}
-
 func TestWriteOpenMetrics(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("sat.conflicts").Add(42)

@@ -16,7 +16,8 @@ const (
 	// HistLearntSize is the learnt-clause length distribution.
 	HistLearntSize = "sat.learnt_clause_size"
 	// HistSliceDropPct is the per-assertion percentage of VC conjuncts
-	// dropped by cone-of-influence slicing (0..100, only under -slice).
+	// dropped by cone-of-influence slicing (0..100). Only verify.Session
+	// slices, so only session runs (-churn, aquila-serve) feed it.
 	HistSliceDropPct = "verify.slice_drop_pct"
 	// HistDeltaRecheck is, per applied table delta, the number of
 	// assertions the session engine actually re-solved (the rest were

@@ -482,7 +482,7 @@ pipeline flowlet { parser = FlowletParser; control = FlowletIngress; deparser = 
 // inner-Ethernet forwarding and ECMP over an L4 hash. With 10 tables
 // touching 6 header instances it yields 13 invalid-header-access
 // obligations — enough per-assertion work to exercise the parallel
-// verification engine (it backs BENCH_parallel.json).
+// verification engine.
 // Seeded bugs: vtep_tbl/vni_xlate_tbl read vxlan without vxlan.isValid(),
 // ecmp_tbl hashes udp ports without udp validity, inner_fwd_tbl keys on
 // the inner Ethernet header unguarded, and vlan_xlate_tbl rewrites the
@@ -640,13 +640,13 @@ pipeline dc_gateway { parser = GatewayParser; control = GatewayIngress; deparser
 `
 
 // SkewedTelemetry is a deliberately load-imbalanced benchmark for the
-// parallel experiments: a dozen cheap table obligations (tag/ethernet
+// parallel engine: a dozen cheap table obligations (tag/ethernet
 // lookups whose validity proofs close in a handful of conflicts) plus one
 // heavy one — stats_tbl is applied only when the carry-recurrence adder
 // identity (a^b) + ((a&b)<<1) == a+b fails on two independent 32-bit field
 // pairs, so proving it unreachable forces the SAT core to refute the
 // identity bit-by-bit twice. On a worker pool the worker that draws
-// stats_tbl grinds while the rest idle (a high obs straggler index).
+// stats_tbl grinds while the rest idle.
 // Seeded bug: ttl_tbl reads
 // tag.ttl without a tag.isValid() guard.
 const SkewedTelemetry = `
@@ -720,8 +720,8 @@ pipeline skew { parser = SkewParser; control = SkewIngress; deparser = SkewDepar
 
 // DCGatewayBench returns the DC gateway as a benchmark. It is not part of
 // HandWrittenSuite — Table 3 pins exactly five rows — but backs the
-// parallel-engine experiment, which needs a program with many independent
-// assertion obligations.
+// churn, serve and scale experiments and perfbench's corpus, which need a
+// program with many independent assertion obligations.
 func DCGatewayBench() *Benchmark {
 	return &Benchmark{Name: "DC Gateway", Source: DCGateway, Calls: []string{"dc_gateway"}}
 }
@@ -729,7 +729,8 @@ func DCGatewayBench() *Benchmark {
 // SkewedBench returns the skewed-telemetry program as a benchmark. Like
 // the DC gateway it sits outside HandWrittenSuite: it exists to make
 // load imbalance measurable (one assertion dominates total solve time even
-// on a single-CPU host) in the parallel sweep's straggler column.
+// on a single-CPU host); TestParallelReportsByteIdentical and perfbench's
+// corpus run it.
 func SkewedBench() *Benchmark {
 	return &Benchmark{Name: "Skewed Telemetry", Source: SkewedTelemetry, Calls: []string{"skew"}}
 }

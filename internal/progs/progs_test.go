@@ -61,7 +61,7 @@ func TestSeededBugsDetected(t *testing.T) {
 // TestSkewedBenchShape pins the load-imbalance benchmark's defining
 // properties: it parses, its seeded ttl bug is found, and one assertion
 // (the adder-identity-guarded stats table) dominates the solve cost —
-// the deliberate straggler of the parallel sweep.
+// the deliberate straggler of a parallel find-all run.
 func TestSkewedBenchShape(t *testing.T) {
 	bm := SkewedBench()
 	prog, err := bm.Parse()
